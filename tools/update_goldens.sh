@@ -1,18 +1,25 @@
 #!/usr/bin/env bash
-# Regenerate the analysis golden snapshots from a built tree.
+# Regenerate the golden snapshots from a built tree.
 #
 #   tools/update_goldens.sh [build-dir]
 #
-# The snapshot is the diag-bound JSON (lint findings + bound model)
-# for every bundled workload, compared byte-for-byte by the
-# `analysis_goldens` ctest. Rerun this after any intentional change
-# to the analyzer or the workloads, then commit the diff.
+# Three snapshots, each compared byte-for-byte by a ctest:
+#   analysis_all_workloads.json  diag-bound JSON (lint findings + bound
+#                                model) for every bundled workload
+#                                (`analysis_goldens`);
+#   stream_all_workloads.json    diag-stream JSON (`stream_goldens`);
+#   stats_all_workloads.json     diag-run --stats-json engine counters
+#                                for every workload on the OoO baseline
+#                                (1 and 12 threads) and on DiAG
+#                                (`stats_goldens`).
+# Rerun this after any intentional change to the analyzers, the engine
+# models or the workloads, then commit the diff.
 set -euo pipefail
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
-build="${1:-$repo/build}"
+build="$(cd "${1:-$repo/build}" && pwd)"
 
-for tool in diag-bound diag-stream; do
+for tool in diag-bound diag-stream diag-run; do
     bin="$build/tools-bin/$tool"
     if [[ ! -x "$bin" ]]; then
         echo "error: $bin not built (cmake --build $build)" >&2
@@ -26,4 +33,9 @@ echo "wrote $out ($(wc -c < "$out") bytes)"
 
 out="$repo/tests/golden/stream_all_workloads.json"
 "$build/tools-bin/diag-stream" --all-workloads --json > "$out"
+echo "wrote $out ($(wc -c < "$out") bytes)"
+
+out="$repo/tests/golden/stats_all_workloads.json"
+(cd "$build" && cmake -DTOOL="$build/tools-bin/diag-run" -DGOLDEN="$out" \
+    -DUPDATE=ON -P "$repo/tests/golden/check_stats_goldens.cmake")
 echo "wrote $out ($(wc -c < "$out") bytes)"
