@@ -3,56 +3,80 @@
  * Figure 12 reproduction: Rodinia energy-efficiency improvement
  * (inverse total energy, baseline = 1.0) for DiAG single-thread,
  * multithread, and multithread with SIMT pipelining.
+ *
+ * Every engine run is one harness::runMatrix cell (--jobs N, default
+ * one host thread per hardware thread); the table is byte-identical
+ * for any job count.
  */
-#include <cstdio>
-
-#include "harness/runner.hpp"
-#include "harness/table.hpp"
+#include "fig_common.hpp"
 
 using namespace diag;
 using namespace diag::harness;
 
 int
-main()
+main(int argc, char **argv)
 {
+    const unsigned jobs = bench::parseJobs(argc, argv);
+    const std::vector<workloads::Workload> suite =
+        workloads::rodiniaSuite();
+    // Cells per workload: single thread (F4C32 vs one baseline core),
+    // multithread (16x2 rings vs 12 cores), then (simt workloads only)
+    // the MT+SIMT run.
+    std::vector<MatrixCell> cells;
+    std::vector<size_t> first_cell(suite.size());
+    for (size_t i = 0; i < suite.size(); ++i) {
+        const auto &w = suite[i];
+        first_cell[i] = cells.size();
+        cells.push_back({.w = &w,
+                         .spec = {1, false},
+                         .on_diag = false,
+                         .diag_cfg = {},
+                         .ooo_cfg = ooo::OooConfig::baseline8()});
+        cells.push_back({.w = &w,
+                         .spec = {1, false},
+                         .on_diag = true,
+                         .diag_cfg = core::DiagConfig::f4c32(),
+                         .ooo_cfg = {}});
+        cells.push_back({.w = &w,
+                         .spec = {kOooMtThreads, false},
+                         .on_diag = false,
+                         .diag_cfg = {},
+                         .ooo_cfg = ooo::OooConfig::multicore12()});
+        cells.push_back({.w = &w,
+                         .spec = {kDiagMtThreads, false},
+                         .on_diag = true,
+                         .diag_cfg = diagMultiThreadConfig(),
+                         .ooo_cfg = {}});
+        if (!w.asm_simt.empty())
+            cells.push_back({.w = &w,
+                             .spec = {kDiagMtSimtThreads, true},
+                             .on_diag = true,
+                             .diag_cfg = diagMtSimtConfig(),
+                             .ooo_cfg = {}});
+    }
+    const std::vector<EngineRun> runs = runMatrix(cells, jobs);
+
     Table t("Fig 12: Rodinia energy efficiency vs baseline (x better)");
     t.header({"benchmark", "single-thread", "multi-thread",
               "MT + SIMT"});
     std::vector<double> st_rels;
     std::vector<double> mt_rels;
     std::vector<double> simt_rels;
-    for (const auto &w : workloads::rodiniaSuite()) {
-        // Single thread: F4C32 vs one baseline core.
-        const EngineRun ooo_st =
-            runOnOoo(ooo::OooConfig::baseline8(), w, {1, false});
-        const EngineRun diag_st =
-            runOnDiag(core::DiagConfig::f4c32(), w, {1, false});
-        const double st =
-            ooo_st.energy.totalPj() / diag_st.energy.totalPj();
+    for (size_t i = 0; i < suite.size(); ++i) {
+        const EngineRun *run = &runs[first_cell[i]];
+        const double st = run[0].energy.totalPj() / run[1].energy.totalPj();
         st_rels.push_back(st);
-
-        // Multithread: 16x2 rings vs 12 cores.
-        const EngineRun ooo_mt = runOnOoo(ooo::OooConfig::multicore12(),
-                                          w, {kOooMtThreads, false});
-        const EngineRun diag_mt =
-            runOnDiag(diagMultiThreadConfig(), w,
-                      {kDiagMtThreads, false});
-        const double mt =
-            ooo_mt.energy.totalPj() / diag_mt.energy.totalPj();
+        const double mt = run[2].energy.totalPj() / run[3].energy.totalPj();
         mt_rels.push_back(mt);
 
         std::string simt_cell = "-";
         double simt = mt;
-        if (!w.asm_simt.empty()) {
-            const EngineRun diag_simt =
-                runOnDiag(diagMtSimtConfig(), w,
-                          {kDiagMtSimtThreads, true});
-            simt = ooo_mt.energy.totalPj() /
-                   diag_simt.energy.totalPj();
+        if (!suite[i].asm_simt.empty()) {
+            simt = run[2].energy.totalPj() / run[4].energy.totalPj();
             simt_cell = Table::num(simt, 2) + "x";
         }
         simt_rels.push_back(simt);
-        t.row({w.name, Table::num(st, 2) + "x",
+        t.row({suite[i].name, Table::num(st, 2) + "x",
                Table::num(mt, 2) + "x", simt_cell});
     }
     t.row({"geomean", Table::num(geomean(st_rels), 2) + "x",

@@ -14,8 +14,9 @@
  *
  * Supported surface (see README.md): State ranged-for iteration with
  * adaptive iteration counts, State::range(), user counters with
- * Counter::kIsRate (rate = value / total CPU seconds, matching
- * google-benchmark), BENCHMARK()->Arg() registration, DoNotOptimize,
+ * Counter::kIsRate (rate = value / total CPU seconds, or / wall-clock
+ * seconds under ->UseRealTime(), matching google-benchmark),
+ * BENCHMARK()->Arg()->UseRealTime() registration, DoNotOptimize,
  * AddCustomContext, Initialize / ReportUnrecognizedArguments /
  * RunSpecifiedBenchmarks / Shutdown, BENCHMARK_MAIN, and the
  * --benchmark_filter / --benchmark_min_time / --benchmark_out /
@@ -41,7 +42,8 @@ class Counter
   public:
     enum Flags : unsigned {
         kDefaults = 0,
-        /** Report value / total CPU seconds instead of the raw value. */
+        /** Report value / total CPU seconds (wall-clock seconds for a
+         *  UseRealTime() benchmark) instead of the raw value. */
         kIsRate = 1u << 0,
     };
 
@@ -161,8 +163,23 @@ class Benchmark
         return this;
     }
 
+    /**
+     * Divide kIsRate counters by elapsed wall-clock time instead of
+     * process CPU time, for every instance of this family (chainable).
+     * Needed whenever the measured work runs on other threads: their
+     * CPU seconds add up, so a CPU-time rate cannot show scaling. As
+     * in google-benchmark, run names gain a "/real_time" suffix.
+     */
+    Benchmark *
+    UseRealTime()
+    {
+        use_real_time_ = true;
+        return this;
+    }
+
     const std::string &name() const { return name_; }
     Function fn() const { return fn_; }
+    bool useRealTime() const { return use_real_time_; }
     /** Per-instance argument lists; empty = one argless instance. */
     const std::vector<std::vector<std::int64_t>> &args() const
     {
@@ -173,6 +190,7 @@ class Benchmark
     std::string name_;
     Function fn_;
     std::vector<std::vector<std::int64_t>> args_;
+    bool use_real_time_ = false;
 };
 
 Benchmark *RegisterBenchmarkInternal(const char *name,

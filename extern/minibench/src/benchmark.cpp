@@ -149,11 +149,12 @@ struct Runner
 {
     struct Instance
     {
-        std::string name;  // "family" or "family/arg"
+        std::string name;  // "family[/arg...][/real_time]"
         internal::Benchmark::Function fn;
         std::vector<std::int64_t> args;
         int family_index = 0;
         int instance_index = 0;
+        bool use_real_time = false;
     };
 
     struct Result
@@ -163,6 +164,16 @@ struct Runner
         double real_s = 0.0;  // total across all iterations
         double cpu_s = 0.0;
         UserCounters counters;
+
+        /** A counter as reported: kIsRate divides by the run's time
+         *  base (wall clock under UseRealTime, else CPU). */
+        double
+        reported(const Counter &c) const
+        {
+            if (!(c.flags & Counter::kIsRate))
+                return c.value;
+            return c.value / (inst.use_real_time ? real_s : cpu_s);
+        }
     };
 
     static std::vector<Instance>
@@ -171,17 +182,19 @@ struct Runner
         std::vector<Instance> out;
         int family = 0;
         for (const auto &b : internal::registry()) {
+            const std::string suffix =
+                b->useRealTime() ? "/real_time" : "";
             if (b->args().empty()) {
-                out.push_back(
-                    {b->name(), b->fn(), {}, family, 0});
+                out.push_back({b->name() + suffix, b->fn(), {}, family,
+                               0, b->useRealTime()});
             } else {
                 int idx = 0;
                 for (const auto &argv : b->args()) {
                     std::string name = b->name();
                     for (std::int64_t a : argv)
                         name += "/" + std::to_string(a);
-                    out.push_back(
-                        {std::move(name), b->fn(), argv, family, idx++});
+                    out.push_back({name + suffix, b->fn(), argv, family,
+                                   idx++, b->useRealTime()});
                 }
             }
             ++family;
@@ -418,13 +431,9 @@ writeJson(std::ostream &os, const std::vector<Runner::Result> &results)
         os << "      \"cpu_time\": " << jsonDouble(r.cpu_s * 1e9 / it)
            << ",\n";
         os << "      \"time_unit\": \"ns\"";
-        for (const auto &[key, c] : r.counters) {
-            const double v = (c.flags & Counter::kIsRate)
-                                 ? c.value / r.cpu_s
-                                 : c.value;
+        for (const auto &[key, c] : r.counters)
             os << ",\n      \"" << jsonEscape(key)
-               << "\": " << jsonDouble(v);
-        }
+               << "\": " << jsonDouble(r.reported(c));
         os << "\n    }" << (i + 1 < results.size() ? "," : "") << "\n";
     }
     os << "  ]\n}\n";
@@ -436,11 +445,9 @@ printConsole(const Runner::Result &r)
     const double it = static_cast<double>(r.iterations);
     std::string extra;
     for (const auto &[key, c] : r.counters) {
-        const double v = (c.flags & Counter::kIsRate)
-                             ? c.value / r.cpu_s
-                             : c.value;
         char cbuf[96];
-        std::snprintf(cbuf, sizeof cbuf, " %s=%.6g", key.c_str(), v);
+        std::snprintf(cbuf, sizeof cbuf, " %s=%.6g", key.c_str(),
+                      r.reported(c));
         extra += cbuf;
     }
     std::printf("%-40s %12.0f ns %12.0f ns %12llu%s\n",

@@ -11,6 +11,9 @@
  * that really run in parallel. The calendar instead keeps a bounded,
  * sorted window of reserved intervals and grants each request the first
  * gap at or after its arrival time, independent of processing order.
+ * Intervals already over at the arrival time are skipped by binary
+ * search (DESIGN.md §5.1), so a request costs O(log n) plus the gaps
+ * it walks past.
  */
 #ifndef DIAG_COMMON_CALENDAR_HPP
 #define DIAG_COMMON_CALENDAR_HPP
@@ -36,17 +39,7 @@ class BusyCalendar
     Cycle
     probe(Cycle now, Cycle occupancy) const
     {
-        Cycle t = now;
-        size_t i = 0;
-        while (i < iv_.size() && iv_[i].end <= t)
-            ++i;
-        while (i < iv_.size()) {
-            if (t + occupancy <= iv_[i].start)
-                break;  // the gap before interval i fits
-            t = std::max(t, iv_[i].end);
-            ++i;
-        }
-        return t;
+        return findGap(now, occupancy).start;
     }
 
     /**
@@ -56,34 +49,20 @@ class BusyCalendar
     Cycle
     reserve(Cycle now, Cycle occupancy)
     {
-        Cycle t = now;
-        size_t i = 0;
-        while (i < iv_.size() && iv_[i].end <= t)
-            ++i;
-        while (i < iv_.size()) {
-            if (t + occupancy <= iv_[i].start)
-                break;  // the gap before interval i fits
-            t = std::max(t, iv_[i].end);
-            ++i;
-        }
-        iv_.insert(iv_.begin() + static_cast<long>(i),
-                   {t, t + occupancy});
+        const Gap gap = findGap(now, occupancy);
+        iv_.insert(iv_.begin() + static_cast<long>(gap.pos),
+                   {gap.start, gap.start + occupancy});
         if (iv_.size() > cap_)
             iv_.erase(iv_.begin());  // forget the oldest reservation
-        return t;
+        return gap.start;
     }
 
     /** True iff some reservation covers cycle @p t. */
     bool
     busyAt(Cycle t) const
     {
-        for (const Interval &iv : iv_) {
-            if (iv.start <= t && t < iv.end)
-                return true;
-            if (iv.start > t)
-                break;
-        }
-        return false;
+        const auto it = firstEndingAfter(t);
+        return it != iv_.end() && it->start <= t;
     }
 
     void clear() { iv_.clear(); }
@@ -97,8 +76,43 @@ class BusyCalendar
         Cycle end;
     };
 
+    /** A free slot: its start cycle and the insertion index. */
+    struct Gap
+    {
+        Cycle start;
+        size_t pos;
+    };
+
+    /**
+     * First reservation that ends after @p t. Every reservation is
+     * placed in a gap, so the intervals are disjoint and sorted by
+     * start, hence also by end: the ones ending at or before @p t form
+     * a prefix, found by binary search.
+     */
+    std::vector<Interval>::const_iterator
+    firstEndingAfter(Cycle t) const
+    {
+        return std::partition_point(
+            iv_.begin(), iv_.end(),
+            [t](const Interval &iv) { return iv.end <= t; });
+    }
+
+    /** Shared search of probe() and reserve(). */
+    Gap
+    findGap(Cycle now, Cycle occupancy) const
+    {
+        Cycle t = now;
+        auto it = firstEndingAfter(now);
+        for (; it != iv_.end(); ++it) {
+            if (t + occupancy <= it->start)
+                break;  // the gap before this interval fits
+            t = std::max(t, it->end);
+        }
+        return {t, static_cast<size_t>(it - iv_.begin())};
+    }
+
     size_t cap_;
-    std::vector<Interval> iv_;  // sorted by start
+    std::vector<Interval> iv_;  // sorted by start and by end, disjoint
 };
 
 } // namespace diag

@@ -132,8 +132,8 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
     // The cluster must finish draining before it can be re-loaded.
     const Cycle start = std::max(when, cl.free_at);
     if (cl.free_at > when)
-        stats_.inc("other_stall_cycles",
-                   static_cast<double>(cl.free_at - when));
+        st_other_stall_cycles_.inc(
+            static_cast<double>(cl.free_at - when));
     // I-cache line fetch, delivery over the shared 512-bit bus, and
     // one decode cycle (paper §5.1.1).
     const mem::MemResult res = mh_.fetchLine(0, line, start);
@@ -142,7 +142,7 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
         grant + cfg_.bus_iline_transfer + cfg_.decode_latency;
 
     if (cl.last_use == 0)
-        stats_.inc("clusters_used");  // first use: un-gates its lanes
+        st_clusters_used_.inc();  // first use: un-gates its lanes
     cl.line_base = line;
     cl.ready_at = ready;
     cl.last_use = ++use_counter_;
@@ -160,8 +160,8 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
         }
     }
     cl.batch_window.clear();
-    stats_.inc("iline_fetches");
-    stats_.inc("decodes", cfg_.pes_per_cluster);
+    st_iline_fetches_.inc();
+    st_decodes_.inc(cfg_.pes_per_cluster);
     return ready;
 }
 
@@ -192,7 +192,7 @@ Ring::prefetch(Addr line, Cycle when, SparseMemory &mem)
     if (resident_.count(line))
         return;
     ensureLoaded(line, when, mem);
-    stats_.inc("prefetches");
+    st_prefetches_.inc();
 }
 
 u8

@@ -177,11 +177,17 @@ class Ring
     u64 use_counter_ = 0;
     u32 line_bytes_;
 
-    // Lazy-bound counter handles for the per-activation hot path.
+    // Lazy-bound counter handles for the per-activation and per-line
+    // hot paths (DESIGN.md §10, hot-path counters).
     StatCounter st_reuse_activations_{stats_, "reuse_activations"};
     StatCounter st_fetch_wait_cycles_{stats_, "fetch_wait_cycles"};
     StatCounter st_reuse_redirects_{stats_, "reuse_redirects"};
     StatCounter st_ctrl_stall_cycles_{stats_, "ctrl_stall_cycles"};
+    StatCounter st_other_stall_cycles_{stats_, "other_stall_cycles"};
+    StatCounter st_clusters_used_{stats_, "clusters_used"};
+    StatCounter st_iline_fetches_{stats_, "iline_fetches"};
+    StatCounter st_decodes_{stats_, "decodes"};
+    StatCounter st_prefetches_{stats_, "prefetches"};
     // Note: the loop batcher deliberately adds NO counters of its own —
     // the dense/skip-idle equivalence contract includes byte-identical
     // dumpJson output, so the batched path must create exactly the keys

@@ -161,7 +161,6 @@ OooCore::runThread(Addr entry,
         }
         const Cycle fetched = fetch_cycle;
         ++fetch_in_cycle;
-        stats_.inc("fetches");
 
         // ---- decode / rename / dispatch ----
         Cycle dispatch = fetched + fe_latency;
@@ -180,9 +179,6 @@ OooCore::runThread(Addr entry,
                     dispatch,
                     memop_hist[memop_count % cfg_.lsq_entries]);
         }
-        stats_.inc("decodes");
-        stats_.inc("renames");
-        stats_.inc("dispatches");
 
         // ---- operand readiness ----
         u32 c_val = 0;
@@ -203,9 +199,9 @@ OooCore::runThread(Addr entry,
             c_val = reg_value(di.rs3);
         }
         if (di.rs1 != kNoReg)
-            stats_.inc("regfile_reads");
+            st_regfile_reads_.inc();
         if (di.rs2 != kNoReg)
-            stats_.inc("regfile_reads");
+            st_regfile_reads_.inc();
 
         // ---- issue (wakeup/select) ----
         FuPool &pool = poolFor(di.cls());
@@ -216,8 +212,6 @@ OooCore::runThread(Addr entry,
                                  cls == ExecClass::FpSqrt;
         const Cycle lat = execLatency(cls);
         const Cycle issue = pool.acquire(want, unpipelined ? lat : 1);
-        stats_.inc("issues");
-        stats_.inc("iq_wakeups");
 
         // ---- execute ----
         Cycle complete;
@@ -231,27 +225,25 @@ OooCore::runThread(Addr entry,
             const Cycle addr_ready = issue + 1;
             const Cycle ld_issue =
                 std::max(addr_ready, tracker.storeAddrGate());
-            stats_.inc("lsq_searches");
+            st_lsq_searches_.inc();
             const Cycle fwd = tracker.forwardProbe(ea,
                                                    di.info().memBytes);
             if (fwd != kNeverCycle) {
                 complete = std::max(ld_issue, fwd) + 1;
-                stats_.inc("stl_forwards");
+                st_stl_forwards_.inc();
             } else {
                 const mem::MemResult mr =
                     mh_.dataAccess(core_id_, ea, false, ld_issue);
                 complete = mr.done;
                 switch (mr.level) {
-                  case mem::ServedBy::L1: stats_.inc("l1_loads"); break;
-                  case mem::ServedBy::L2: stats_.inc("l2_loads"); break;
-                  case mem::ServedBy::Dram:
-                    stats_.inc("dram_loads");
-                    break;
+                  case mem::ServedBy::L1: st_l1_loads_.inc(); break;
+                  case mem::ServedBy::L2: st_l2_loads_.inc(); break;
+                  case mem::ServedBy::Dram: st_dram_loads_.inc(); break;
                 }
             }
             value = loadExtend(di, mem.read(ea, di.info().memBytes));
             memop_hist[memop_count++ % cfg_.lsq_entries] = complete;
-            stats_.inc("loads");
+            st_loads_.inc();
         } else if (di.isStore()) {
             const Addr ea = effectiveAddr(di, reg_value(di.rs1));
             complete = issue + 1;
@@ -266,7 +258,7 @@ OooCore::runThread(Addr entry,
                                 complete);
             mh_.dataAccess(core_id_, ea, true, complete);
             memop_hist[memop_count++ % cfg_.lsq_entries] = complete;
-            stats_.inc("stores");
+            st_stores_.inc();
         } else {
             const ExecOut eo = execute(di, pc, reg_value(di.rs1),
                                        reg_value(di.rs2), c_val);
@@ -276,10 +268,10 @@ OooCore::runThread(Addr entry,
             redirect = eo.redirect;
             target = eo.target;
             switch (cls) {
-              case ExecClass::IntMul: stats_.inc("fu_mul"); break;
-              case ExecClass::IntDiv: stats_.inc("fu_div"); break;
+              case ExecClass::IntMul: st_fu_mul_.inc(); break;
+              case ExecClass::IntDiv: st_fu_div_.inc(); break;
               default:
-                stats_.inc(di.isFp() ? "fu_fpu" : "fu_int");
+                (di.isFp() ? st_fu_fpu_ : st_fu_int_).inc();
                 break;
             }
         }
@@ -288,18 +280,18 @@ OooCore::runThread(Addr entry,
         if (di.writesReg()) {
             regs[di.rd] = value;
             reg_ready[di.rd] = complete + cfg_.wakeup_delay;
-            stats_.inc("regfile_writes");
+            st_regfile_writes_.inc();
         }
 
         // ---- control flow and prediction ----
         const Addr next_pc = redirect ? target : pc + 4;
         if (di.isBranch() || di.op == Op::SIMT_E) {
-            stats_.inc("bp_lookups");
+            st_bp_lookups_.inc();
             const bool taken = redirect;
             const bool pred = gshare.predict(pc);
             gshare.update(pc, taken);
             if (pred != taken) {
-                stats_.inc("mispredicts");
+                st_mispredicts_.inc();
                 redirect_gate = std::max(
                     redirect_gate, complete + cfg_.mispredict_penalty);
             } else if (taken) {
@@ -311,7 +303,7 @@ OooCore::runThread(Addr entry,
             if (taken)
                 cur_line = ~Addr{0};
         } else if (di.op == Op::JAL) {
-            stats_.inc("btb_lookups");
+            st_btb_lookups_.inc();
             Addr btb_target = 0;
             if (btb.lookup(pc, btb_target)) {
                 fetch_cycle = std::max(
@@ -331,20 +323,20 @@ OooCore::runThread(Addr entry,
             bool predicted = false;
             if (is_ret) {
                 predicted = ras.pop() == target;
-                stats_.inc("ras_lookups");
+                st_ras_lookups_.inc();
             } else {
                 Addr btb_target = 0;
                 predicted = btb.lookup(pc, btb_target) &&
                             btb_target == target;
                 btb.insert(pc, target);
-                stats_.inc("btb_lookups");
+                st_btb_lookups_.inc();
             }
             if (predicted) {
                 fetch_cycle = std::max(
                     fetch_cycle, fetched + cfg_.taken_branch_bubble);
                 fetch_in_cycle = 0;
             } else {
-                stats_.inc("mispredicts");
+                st_mispredicts_.inc();
                 redirect_gate = std::max(
                     redirect_gate, complete + cfg_.mispredict_penalty);
             }
@@ -368,7 +360,6 @@ OooCore::runThread(Addr entry,
         last_commit = commit;
         commit_hist[i % cfg_.rob_entries] = commit;
         issue_hist[i % cfg_.iq_entries] = issue;
-        stats_.inc("commits");
         inform("ooo i=%llu pc=0x%x f=%llu d=%llu iss=%llu c=%llu "
                "commit=%llu",
                static_cast<unsigned long long>(i), pc,
@@ -389,6 +380,16 @@ OooCore::runThread(Addr entry,
         res.finish = commit;
     }
 
+    // Every retired instruction passed each pipeline stage exactly
+    // once, so the stage counters advance by the retired count. The
+    // guard keeps "a counter exists iff it was ever incremented".
+    if (res.retired != 0) {
+        const double n = static_cast<double>(res.retired);
+        for (StatCounter *c : {&st_fetches_, &st_decodes_, &st_renames_,
+                               &st_dispatches_, &st_issues_,
+                               &st_iq_wakeups_, &st_commits_})
+            c->inc(n);
+    }
     if (!res.halted && !res.faulted && !res.timed_out) {
         res.timed_out = true;
         res.stop_reason = detail::vformat(

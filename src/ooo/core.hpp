@@ -114,6 +114,35 @@ class OooCore
     std::unordered_map<Addr, isa::DecodedInst> icache_;
     FuPool alu_, mul_, div_, fpu_, fpdiv_, memport_;
     const host::CancelToken *cancel_ = nullptr; //!< null = no watchdog
+
+    // Lazy-bound counter handles: runThread never does a string-keyed
+    // StatGroup::inc (DESIGN.md §10, hot-path counters).
+    // Pipeline stages, advanced once per run by the retired count.
+    StatCounter st_fetches_{stats_, "fetches"};
+    StatCounter st_decodes_{stats_, "decodes"};
+    StatCounter st_renames_{stats_, "renames"};
+    StatCounter st_dispatches_{stats_, "dispatches"};
+    StatCounter st_issues_{stats_, "issues"};
+    StatCounter st_iq_wakeups_{stats_, "iq_wakeups"};
+    StatCounter st_commits_{stats_, "commits"};
+    // Per-instruction events.
+    StatCounter st_regfile_reads_{stats_, "regfile_reads"};
+    StatCounter st_regfile_writes_{stats_, "regfile_writes"};
+    StatCounter st_lsq_searches_{stats_, "lsq_searches"};
+    StatCounter st_stl_forwards_{stats_, "stl_forwards"};
+    StatCounter st_l1_loads_{stats_, "l1_loads"};
+    StatCounter st_l2_loads_{stats_, "l2_loads"};
+    StatCounter st_dram_loads_{stats_, "dram_loads"};
+    StatCounter st_loads_{stats_, "loads"};
+    StatCounter st_stores_{stats_, "stores"};
+    StatCounter st_fu_int_{stats_, "fu_int"};
+    StatCounter st_fu_mul_{stats_, "fu_mul"};
+    StatCounter st_fu_div_{stats_, "fu_div"};
+    StatCounter st_fu_fpu_{stats_, "fu_fpu"};
+    StatCounter st_bp_lookups_{stats_, "bp_lookups"};
+    StatCounter st_btb_lookups_{stats_, "btb_lookups"};
+    StatCounter st_ras_lookups_{stats_, "ras_lookups"};
+    StatCounter st_mispredicts_{stats_, "mispredicts"};
 };
 
 } // namespace diag::ooo

@@ -29,7 +29,8 @@ Schema (version 1):
   {"version": 1,
    "records": [
      {"date": "...", "bench": "bench_sim_speed",
-      "context": {"library_build_type": "release", ...},
+      "context": {"library_build_type": "release", "num_cpus": 4,
+                  ...},
       "rates": {"BM_DiagModel": {"sim_inst_per_s": 6.77e7}, ...}},
      ...]}
 
@@ -88,6 +89,11 @@ def validate_doc(doc) -> list:
             if not isinstance(rec.get(key), kind):
                 errs.append(f"{where}.{key} missing or not "
                             f"{kind.__name__}")
+        # A rate means nothing without the host's CPU count: threaded
+        # benches scale with it, and a 1-CPU capture cannot show scaling.
+        if isinstance(rec.get("context"), dict) and \
+                not isinstance(rec["context"].get("num_cpus"), int):
+            errs.append(f"{where}.context.num_cpus missing or not int")
         for name, counters in rec.get("rates", {}).items():
             if not isinstance(counters, dict):
                 errs.append(f"{where}.rates[{name!r}] is not an object")
