@@ -1,8 +1,10 @@
 # Diff the engines' `diag-run --stats-json` counter dumps for every
-# bundled workload against the checked-in snapshot. Three runs per
-# workload: the OoO baseline on one thread, the OoO baseline on 12
-# threads, and DiAG (default preset, serial). Host-speed work on either
-# engine must leave every simulated counter byte-identical.
+# bundled workload against the checked-in snapshot. Runs per workload:
+# the OoO baseline on one thread and on 12 threads; DiAG on the
+# default preset (serial, the simt variant where the workload has
+# one, and 16 software threads) and on the two-cluster F4C2 preset.
+# Host-speed work on either engine must leave every simulated counter
+# byte-identical.
 #   -DTOOL=<diag-run>  the simulator driver
 #   -DGOLDEN=<file>    the snapshot to compare byte-for-byte
 #   -DUPDATE=ON        rewrite the snapshot instead (tools/update_goldens.sh)
@@ -26,14 +28,22 @@ endif()
 
 get_filename_component(golden_name ${GOLDEN} NAME_WE)
 set(scratch ${CMAKE_CURRENT_BINARY_DIR}/${golden_name}.tmp.json)
-set(modes "ooo" "ooo-threads12" "diag")
 set(args_ooo --engine ooo)
 set(args_ooo-threads12 --engine ooo --threads 12)
 set(args_diag --engine diag)
+set(args_diag-simt --engine diag --simt)
+set(args_diag-f4c2 --engine diag --config F4C2)
+set(args_diag-threads16 --engine diag --threads 16)
 
 set(actual "{\n")
 set(sep "")
 foreach(w ${workloads})
+    set(modes "ooo" "ooo-threads12" "diag")
+    string(REGEX MATCH "\n  ${w} [^\n]*\\[simt\\]" simt "\n${listing}")
+    if(simt)
+        list(APPEND modes "diag-simt")
+    endif()
+    list(APPEND modes "diag-f4c2" "diag-threads16")
     foreach(mode ${modes})
         file(REMOVE ${scratch})
         execute_process(
