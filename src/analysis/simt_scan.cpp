@@ -1,6 +1,7 @@
 #include "analysis/simt_scan.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/bits.hpp"
 #include "isa/decoder.hpp"
@@ -120,6 +121,48 @@ scanSimtRegion(Addr simt_s_pc, const SparseMemory &mem,
         }
     }
     return scan;
+}
+
+SimtTrips
+simtTripCount(u32 rc0, u32 step, u32 end)
+{
+    // The counter walks an arithmetic progression, so the exit trip is
+    // one division. Valid only while the i32 counter never wraps;
+    // since the progression is monotone, checking the final value in
+    // i64 covers every intermediate one.
+    const i64 c0 = static_cast<i32>(rc0);
+    const i64 s = static_cast<i32>(step);
+    const i64 e = static_cast<i32>(end);
+    const i64 cap = static_cast<i64>(kSimtTripCap);
+    i64 t;
+    if (s > 0)
+        t = std::max<i64>(1, (e - c0 + s - 1) / s);
+    else if (s < 0)
+        t = std::max<i64>(1, (c0 - e - s - 1) / -s);
+    else
+        t = c0 < e ? cap + 1 : 1;  // runs once, or spins to the cap
+    SimtTrips r{static_cast<u64>(std::min(t, cap)), t > cap};
+    const i64 last = c0 + static_cast<i64>(r.trips) * s;
+    if (last >= std::numeric_limits<i32>::min() &&
+        last <= std::numeric_limits<i32>::max())
+        return r;
+
+    // Wraparound: walk the loop literally in u32, as simt_e does.
+    r = {};
+    for (u32 v = rc0;;) {
+        ++r.trips;
+        v += step;
+        const bool more = static_cast<i32>(step) >= 0
+                              ? static_cast<i32>(v) < static_cast<i32>(end)
+                              : static_cast<i32>(v) > static_cast<i32>(end);
+        if (!more)
+            break;
+        if (r.trips >= kSimtTripCap) {
+            r.capped = true;
+            break;
+        }
+    }
+    return r;
 }
 
 } // namespace diag::analysis

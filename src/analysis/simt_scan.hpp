@@ -65,6 +65,26 @@ SimtScan scanSimtRegion(Addr simt_s_pc, const SparseMemory &mem,
                         unsigned line_bytes,
                         unsigned clusters_per_ring);
 
+/** Threads one region entry may launch; longer regions are capped. */
+inline constexpr u64 kSimtTripCap = u64{1} << 20;
+
+/** Trip count of one region entry (see simtTripCount). */
+struct SimtTrips
+{
+    u64 trips = 0;
+    bool capped = false;  //!< the counter had not exited at the cap
+};
+
+/**
+ * Threads a region entry launches: simt_e's do-while over the i32
+ * counter rc, starting at @p rc0 and advancing by @p step, continuing
+ * while rc < @p end (step >= 0) or rc > @p end (step < 0). Capped at
+ * kSimtTripCap. Closed form, with a literal walk only when the
+ * counter wraps the i32 range. Shared by the ring's thread pipeline
+ * and the stream analyzer so both see the same trip count.
+ */
+SimtTrips simtTripCount(u32 rc0, u32 step, u32 end);
+
 } // namespace diag::analysis
 
 #endif // DIAG_ANALYSIS_SIMT_SCAN_HPP

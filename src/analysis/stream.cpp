@@ -486,44 +486,12 @@ analyzeRegion(const Program &prog, const LintOptions &opt,
         end_known = cst(scan.fields.rEnd, &end);
     }
     if (rs.step_known && rc0_known && end_known) {
-        // Trip count with do-while semantics, mirroring
-        // Ring::runSimtPipeline (including the 2^20 cap): computed in
-        // closed form, since rc0/step/end are known constants. The
-        // mirror must only fall back to literal iteration when the
-        // u32 counter wraps past the i32 range the ring's signed
-        // continue-test sees — the closed form is exact otherwise.
-        const u64 cap = u64{1} << 20;
-        u64 trips = 0;
-        if (rs.step == 0) {
-            // The counter never moves: the do-while body runs once,
-            // then spins to the cap iff the entry test holds.
-            trips = rc0 < end ? cap : 1;
-        } else {
-            const i64 span = rs.step > 0 ? end - rc0 : rc0 - end;
-            const i64 mag = rs.step > 0 ? rs.step : -rs.step;
-            const i64 need = std::max<i64>(1, (span + mag - 1) / mag);
-            const u64 t = std::min<u64>(static_cast<u64>(need), cap);
-            const i64 fin = rc0 + static_cast<i64>(t) * rs.step;
-            if (fin >= -(i64{1} << 31) && fin < (i64{1} << 31)) {
-                trips = t;
-            } else {
-                // Wraparound path: replay the ring's loop literally.
-                u32 v = static_cast<u32>(rc0);
-                const u32 stepv = static_cast<u32>(rs.step);
-                for (;;) {
-                    ++trips;
-                    v += stepv;
-                    const bool more =
-                        static_cast<i32>(stepv) >= 0
-                            ? static_cast<i32>(v) < static_cast<i32>(end)
-                            : static_cast<i32>(v) > static_cast<i32>(end);
-                    if (!more || trips >= cap)
-                        break;
-                }
-            }
-        }
+        // The same trip count the ring's thread pipeline launches.
         rs.trips_known = true;
-        rs.trips = trips;
+        rs.trips = simtTripCount(static_cast<u32>(rc0),
+                                 static_cast<u32>(rs.step),
+                                 static_cast<u32>(end))
+                       .trips;
     }
 
     for (Addr pc = simt_s_pc + 4; pc < scan.simt_e_pc; pc += 4) {

@@ -385,6 +385,62 @@ TEST(LintSimt, DisabledSimtSkipsThePass)
     EXPECT_EQ(countPass(r, "simt"), 0u) << renderText(r);
 }
 
+TEST(SimtTrips, ClosedFormMatchesALiteralDoWhileWalk)
+{
+    // simt_e's loop, executed literally: u32 counter, signed test.
+    const auto walk = [](u32 rc, u32 step, u32 end) {
+        SimtTrips r;
+        for (;;) {
+            ++r.trips;
+            rc += step;
+            if (static_cast<i32>(step) >= 0
+                    ? static_cast<i32>(rc) >= static_cast<i32>(end)
+                    : static_cast<i32>(rc) <= static_cast<i32>(end))
+                return r;
+            if (r.trips == kSimtTripCap) {
+                r.capped = true;
+                return r;
+            }
+        }
+    };
+    const u32 kMax = 0x7fffffffu;
+    const u32 kMin = 0x80000000u;
+    const struct
+    {
+        u32 rc0, step, end;
+        u64 trips;
+        bool capped;
+    } rows[] = {
+        {5, 0, 9, kSimtTripCap, true},      // step 0, entry test holds
+        {9, 0, 5, 1, false},                // step 0, entry test fails
+        {0, 1, 768, 768, false},            // positive unit step
+        {0, 3, 10, 4, false},               // last step overshoots
+        {static_cast<u32>(-7), 2, 5, 6, false},  // negative start
+        {100, static_cast<u32>(-1), 0, 100, false},   // negative step
+        {100, static_cast<u32>(-7), 1, 15, false},
+        {10, 1, 3, 1, false},               // end behind rc0 (up)
+        {3, static_cast<u32>(-1), 10, 1, false},  // end behind (down)
+        {kMax - 2, 1, kMax, 2, false},      // stops just before wrap
+        {0x30000000, 0x60000000, 0x70000000, 6, false},  // wraps, exits
+        {0xd0000000, 0xa0000000, 0x90000000, 6, false},  // same, down
+        {kMax - 5, 4, kMax, kSimtTripCap, true},  // wraps, spins
+        {kMin + 5, static_cast<u32>(-4), kMin, kSimtTripCap, true},
+        {0, 1, kMax, kSimtTripCap, true},   // the cap
+        {0, 1, 1u << 20, 1u << 20, false},  // exactly the cap, exits
+        {0, 1, (1u << 20) + 1, kSimtTripCap, true},
+    };
+    for (const auto &row : rows) {
+        const SimtTrips got = simtTripCount(row.rc0, row.step, row.end);
+        const SimtTrips ref = walk(row.rc0, row.step, row.end);
+        EXPECT_EQ(got.trips, ref.trips)
+            << row.rc0 << " " << row.step << " " << row.end;
+        EXPECT_EQ(got.capped, ref.capped)
+            << row.rc0 << " " << row.step << " " << row.end;
+        EXPECT_EQ(got.trips, row.trips) << row.rc0 << " " << row.end;
+        EXPECT_EQ(got.capped, row.capped) << row.rc0 << " " << row.end;
+    }
+}
+
 // ---------------------------------------------------------------------
 // Pass 4: reuse / cluster-fit diagnostics
 // ---------------------------------------------------------------------
