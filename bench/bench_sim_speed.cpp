@@ -16,9 +16,7 @@ measure a debug build anyway)"
 #endif
 
 #include "asm/assembler.hpp"
-#include "common/log.hpp"
 #include "diag/processor.hpp"
-#include "obs/sim_profile.hpp"
 #include "ooo/processor.hpp"
 #include "sim/golden.hpp"
 
@@ -71,29 +69,6 @@ BM_DiagModel(benchmark::State &state)
 }
 BENCHMARK(BM_DiagModel);
 
-/**
- * The same kernel with skip-idle scheduling disabled (dense per-PE
- * stepping, the pre-batcher behavior). The BM_DiagModel /
- * BM_DiagModelDense ratio is the speedup of the steady-state loop
- * batcher; tools/check_bench.py gates on it.
- */
-void
-BM_DiagModelDense(benchmark::State &state)
-{
-    const Program p = assembler::assemble(kKernel);
-    u64 insts = 0;
-    for (auto _ : state) {
-        core::DiagConfig cfg = core::DiagConfig::f4c32();
-        cfg.dense_loop = true;
-        core::DiagProcessor proc(cfg);
-        const sim::RunStats rs = proc.run(p);
-        insts += rs.instructions;
-    }
-    state.counters["sim_inst_per_s"] = benchmark::Counter(
-        static_cast<double>(insts), benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_DiagModelDense);
-
 void
 BM_OooModel(benchmark::State &state)
 {
@@ -137,39 +112,6 @@ main(int argc, char **argv)
     benchmark::AddCustomContext("diag_build_type",
                                 DIAG_BENCH_BUILD_TYPE);
 #endif
-    // One profiled run of the benchmark kernel, so BENCH_sim_speed.json
-    // records how much of the measured loop the skip-idle batcher
-    // actually covers — when sim_inst_per_s moves, this says whether
-    // the batcher's reach changed or the per-activation cost did.
-    {
-        const Program p = assembler::assemble(kKernel);
-        obs::SimProfile prof;
-        core::DiagProcessor proc(core::DiagConfig::f4c32());
-        proc.attachObs(&prof);
-        proc.run(p);
-        proc.attachObs(nullptr);
-        const auto u = [](u64 v) {
-            return static_cast<unsigned long long>(v);
-        };
-        benchmark::AddCustomContext(
-            "diag_batched_fraction",
-            detail::vformat("%.4f", prof.batchedFraction()));
-        benchmark::AddCustomContext(
-            "diag_batched_iterations",
-            detail::vformat("%llu", u(prof.batched_iterations)));
-        benchmark::AddCustomContext(
-            "diag_dense_activations",
-            detail::vformat("%llu", u(prof.dense_activations)));
-        benchmark::AddCustomContext(
-            "diag_batch_jumps",
-            detail::vformat("%llu", u(prof.batch_jumps)));
-        benchmark::AddCustomContext(
-            "diag_lines_batchable",
-            detail::vformat("%llu", u(prof.lines_batchable)));
-        benchmark::AddCustomContext(
-            "diag_disqualified",
-            detail::vformat("%llu", u(prof.disqualifiedTotal())));
-    }
     benchmark::Initialize(&argc, argv);
     if (benchmark::ReportUnrecognizedArguments(argc, argv))
         return 1;

@@ -165,8 +165,7 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
             // can jump straight to the re-enable slot instead of
             // scanning each disabled PE (timing-neutral: disabled PEs
             // contribute nothing).
-            if (!cfg_.dense_loop)
-                i = static_cast<unsigned>((expect - base) / 4) - 1;
+            i = static_cast<unsigned>((expect - base) / 4) - 1;
             continue;
         }
         const DecodedInst &di = cl.insts[i];

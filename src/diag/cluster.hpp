@@ -38,14 +38,6 @@ struct Cluster
      *  insts at load time so the control unit's prefetch decision does
      *  not rescan the (unchanged) line on every activation. */
     bool has_backward_branch = false;
-    /**
-     * Steady-state batch-window qualification per entry slot, computed
-     * lazily by the ring's loop batcher: 0 = not analyzed yet, 1 = not
-     * batchable, 2 + d = batchable self-loop whose backward branch
-     * sits d slots after the entry slot. Pure derived data — cleared
-     * with the line.
-     */
-    std::vector<u8> batch_window;
 
     // ---- cluster-level LSU (paper §5.2) ----
     /** Small set-associative line buffer ("set-associative register
@@ -140,7 +132,6 @@ struct Cluster
         line_base = kNoLine;
         insts.clear();
         has_backward_branch = false;
-        batch_window.clear();
     }
 
     /** Reset all state between runs. */

@@ -52,17 +52,6 @@ struct DiagConfig
      * errors, and the verifier costs a whole-program fixpoint.
      */
     bool verify_enabled = false;
-    /**
-     * Escape hatch for the skip-idle simulation kernel (DESIGN.md
-     * §15): with dense_loop = true the model runs the pre-PR-9 dense
-     * paths — per-activation backward-branch rescans, the
-     * instruction-by-instruction disabled-PE scan, the iterative simt
-     * trip-count loop, and no steady-state loop batching. Results are
-     * bit-for-bit identical either way (cycles, counters, traces);
-     * the flag exists so the equivalence is testable in-tree and so a
-     * suspected kernel bug can be bisected against the dense path.
-     */
-    bool dense_loop = false;
 
     // ---- timing ----
     /**

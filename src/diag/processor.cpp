@@ -96,13 +96,6 @@ DiagProcessor::attachAddrTrace(trace::AddrTrace *t)
 }
 
 void
-DiagProcessor::attachObs(obs::SimProfile *p)
-{
-    for (auto &ring : rings_)
-        ring->setObs(p);
-}
-
-void
 DiagProcessor::lintStrict(const Program &prog,
                           const std::vector<ThreadSpec> &threads) const
 {

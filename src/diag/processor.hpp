@@ -106,17 +106,6 @@ class DiagProcessor
     void attachCancel(const host::CancelToken *t);
 
     /**
-     * Attach (or detach with nullptr) a skip-idle self-profile
-     * (obs::SimProfile, DESIGN.md §16): every ring tallies fast-path
-     * coverage — batched vs densely stepped activations, extrapolated
-     * iterations, batcher disqualification reasons — into it. Purely
-     * observational and, unlike the tracers, it does not disqualify
-     * the loop batcher: cycles and counters are identical with or
-     * without a profile attached. Caller-owned, worker-confined.
-     */
-    void attachObs(obs::SimProfile *p);
-
-    /**
      * Run @p prog single-threaded on ring 0. Loads the program image
      * into memory first.
      */

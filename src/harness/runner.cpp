@@ -78,16 +78,11 @@ runOnDiag(const core::DiagConfig &cfg, const Workload &w,
         run.addrs = std::make_shared<trace::AddrTrace>();
         proc.attachAddrTrace(run.addrs.get());
     }
-    if (spec.obs) {
-        run.obs = std::make_shared<obs::SimProfile>();
-        proc.attachObs(run.obs.get());
-    }
     if (spec.cancel)
         proc.attachCancel(spec.cancel);
     run.stats = proc.runThreads(prog, specs, w.max_insts);
     proc.attachTrace(nullptr);
     proc.attachAddrTrace(nullptr);
-    proc.attachObs(nullptr);
     proc.attachCancel(nullptr);
     if (!run.stats.halted) {
         const char *why = run.stats.stop_reason.empty()

@@ -14,7 +14,6 @@
 #include "diag/config.hpp"
 #include "energy/report.hpp"
 #include "host/cancel.hpp"
-#include "obs/sim_profile.hpp"
 #include "ooo/config.hpp"
 #include "sim/run_stats.hpp"
 #include "trace/addr_trace.hpp"
@@ -46,13 +45,6 @@ struct RunSpec
      *  §14). Same confinement rules as `trace`. Ignored by the OoO
      *  baseline. */
     bool record_addrs = false;
-    /** When true, runOnDiag creates an obs::SimProfile inside the
-     *  owning worker, attaches it for the run, and returns it in
-     *  EngineRun::obs — skip-idle fast-path coverage (DESIGN.md §16).
-     *  Unlike `trace`, a profile never disqualifies the loop batcher;
-     *  cycles and counters are identical either way. Ignored by the
-     *  OoO baseline. */
-    bool obs = false;
     /** When set, the engine polls this token at activation boundaries
      *  and a fired token (explicit cancel or expired wall-clock
      *  deadline) stops the run with RunStats::timed_out and a
@@ -75,9 +67,6 @@ struct EngineRun
     /** The run's address log when RunSpec::record_addrs was set (else
      *  null). Same read-after-worker rule as `trace`. */
     std::shared_ptr<trace::AddrTrace> addrs;
-    /** The run's skip-idle self-profile when RunSpec::obs was set
-     *  (else null). Same read-after-worker rule as `trace`. */
-    std::shared_ptr<obs::SimProfile> obs;
 };
 
 /** Run @p w on a DiAG configuration. */

@@ -3,7 +3,6 @@
 #include <sstream>
 
 #include "common/stats.hpp"
-#include "obs/sim_profile.hpp"
 
 namespace diag::obs
 {
@@ -95,27 +94,6 @@ mergeShards(const std::string &name,
     for (const auto &shard : shards)
         merged.merge(shard);
     return merged;
-}
-
-MetricRegistry
-profileRegistry(const SimProfile &p)
-{
-    MetricRegistry reg("sim");
-    reg.set("dense_activations", p.dense_activations);
-    reg.set("simt_activations", p.simt_activations);
-    reg.set("batch_jumps", p.batch_jumps);
-    reg.set("batched_iterations", p.batched_iterations);
-    reg.set("batched_insts", p.batched_insts);
-    reg.set("probe_attempts", p.probe_attempts);
-    reg.set("probe_misses", p.probe_misses);
-    reg.set("probe_blacklisted", p.probe_blacklisted);
-    reg.set("simt_closed_form", p.simt_closed_form);
-    reg.set("simt_iterative", p.simt_iterative);
-    reg.set("lines_batchable", p.lines_batchable);
-    for (unsigned r = 0; r < kReasonCount; ++r)
-        reg.set(std::string("disq_") + batchReasonName(r),
-                p.disqualified[r]);
-    return reg;
 }
 
 } // namespace diag::obs

@@ -217,15 +217,6 @@ class MetricRegistry
 MetricRegistry mergeShards(const std::string &name,
                            const std::vector<MetricRegistry> &shards);
 
-struct SimProfile;
-
-/**
- * Flatten a skip-idle self-profile into a registry named "sim"
- * (counters only; disqualification reasons keyed disq_<reason>), for
- * byte-stable JSON dumps via MetricRegistry::dumpJson.
- */
-MetricRegistry profileRegistry(const SimProfile &p);
-
 } // namespace diag::obs
 
 #endif // DIAG_OBS_METRICS_HPP

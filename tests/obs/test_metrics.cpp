@@ -2,25 +2,18 @@
  * @file
  * The observability core's contracts (DESIGN.md §16): log2 histogram
  * bucket boundaries and merge algebra, byte-stable key-sorted registry
- * dumps, shard-merge invariance for any job count, the skip-idle
- * self-profile's zero-overhead guarantee (a profiled run is cycle- and
- * counter-identical to an unprofiled one), and soak-report metric
- * determinism across --jobs.
+ * dumps, shard-merge invariance for any job count, and soak-report
+ * metric determinism across --jobs.
  */
 #include <sstream>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "asm/assembler.hpp"
-#include "diag/processor.hpp"
-#include "harness/runner.hpp"
 #include "host/parallel.hpp"
 #include "obs/metrics.hpp"
 #include "obs/serve_obs.hpp"
-#include "obs/sim_profile.hpp"
 #include "serve/soak.hpp"
-#include "workloads/workload.hpp"
 
 using namespace diag;
 using namespace diag::obs;
@@ -139,95 +132,6 @@ TEST(ObsRegistry, ShardMergeIsJobCountInvariant)
         EXPECT_EQ(dump, golden) << nshards << " shards";
     }
     EXPECT_NE(golden.find("\"items\": 600"), std::string::npos);
-}
-
-TEST(ObsProfile, ReasonNamesAndMergeAlgebra)
-{
-    for (unsigned r = 0; r < kReasonCount; ++r)
-        EXPECT_STRNE(batchReasonName(r), "unknown") << r;
-    SimProfile a, b;
-    a.dense_activations = 10;
-    a.batched_iterations = 30;
-    a.disqualified[kReasonInteriorMem] = 2;
-    b.dense_activations = 5;
-    b.batch_jumps = 1;
-    b.disqualified[kReasonInteriorMem] = 1;
-    b.disqualified[kReasonNotSelfLoop] = 4;
-    a.merge(b);
-    EXPECT_EQ(a.dense_activations, 15u);
-    EXPECT_EQ(a.batch_jumps, 1u);
-    EXPECT_EQ(a.disqualified[kReasonInteriorMem], 3u);
-    EXPECT_EQ(a.disqualifiedTotal(), 7u);
-    EXPECT_DOUBLE_EQ(a.batchedFraction(), 30.0 / 45.0);
-}
-
-/** Run @p name on the diag engine, optionally self-profiled. */
-harness::EngineRun
-runWorkload(const std::string &name, bool simt, bool obs)
-{
-    const workloads::Workload w = workloads::findWorkload(name);
-    harness::RunSpec spec;
-    spec.threads = 1;
-    spec.use_simt = simt;
-    spec.obs = obs;
-    return harness::runOnDiag(core::DiagConfig::f4c32(), w, spec);
-}
-
-TEST(ObsOverhead, ProfiledRunIsCycleAndCounterIdentical)
-{
-    const harness::EngineRun plain = runWorkload("kmeans", true,
-                                                 false);
-    const harness::EngineRun profiled = runWorkload("kmeans", true,
-                                                    true);
-    EXPECT_FALSE(plain.obs);
-    ASSERT_TRUE(profiled.obs);
-    // The profile only tallies its own u64s — every cycle the model
-    // computes and every counter it increments must be unchanged.
-    EXPECT_EQ(profiled.stats.cycles, plain.stats.cycles);
-    EXPECT_EQ(profiled.stats.instructions, plain.stats.instructions);
-    EXPECT_EQ(profiled.stats.counters.all(),
-              plain.stats.counters.all());
-    // And it saw the run: activations flowed through some path.
-    EXPECT_GT(profiled.obs->dense_activations +
-                  profiled.obs->simt_activations +
-                  profiled.obs->batched_iterations,
-              0u);
-}
-
-TEST(ObsProfile, BatcherCoverageOnASteadyLoop)
-{
-    // The bench kernel: a 2000-iteration self-loop the skip-idle
-    // batcher covers almost entirely.
-    const char *kernel = R"(
-        _start:
-            li a0, 0
-            li a1, 2000
-        loop:
-            addi t0, a0, 3
-            slli t1, t0, 2
-            xor t2, t1, a0
-            and t3, t2, t1
-            addi a0, a0, 1
-            bne a0, a1, loop
-            ebreak
-    )";
-    const Program p = assembler::assemble(kernel);
-    SimProfile prof;
-    core::DiagProcessor proc(core::DiagConfig::f4c32());
-    proc.attachObs(&prof);
-    const sim::RunStats rs = proc.run(p);
-    proc.attachObs(nullptr);
-    ASSERT_TRUE(rs.halted);
-    EXPECT_GT(prof.lines_batchable, 0u);
-    EXPECT_GT(prof.batch_jumps, 0u);
-    EXPECT_GT(prof.batched_iterations, 1000u);
-    EXPECT_GT(prof.batchedFraction(), 0.5);
-    // A profiled run must not change the numbers either.
-    core::DiagProcessor bare(core::DiagConfig::f4c32());
-    const sim::RunStats rs2 = bare.run(p);
-    EXPECT_EQ(rs.cycles, rs2.cycles);
-    EXPECT_EQ(rs.instructions, rs2.instructions);
-    EXPECT_EQ(rs.counters.all(), rs2.counters.all());
 }
 
 TEST(ObsSoak, ReportBytesAreJobCountInvariant)

@@ -9,9 +9,8 @@ trajectory file, so performance over time is one `git log`-free read.
 
 A record keeps only what trend analysis needs: the capture date, which
 bench produced it, the build context that makes the numbers comparable
-(build type, optimization, any diag_* self-profile context such as the
-skip-idle batcher coverage emitted by bench_sim_speed), and the per-s
-rate counters of every benchmark in the capture.
+(build type, optimization and any other diag_* context the bench
+adds), and the per-s rate counters of every benchmark in the capture.
 
 Usage:
   bench_trajectory.py append BENCH_sim_speed.json [--trajectory FILE]
@@ -114,7 +113,7 @@ def distill(capture: dict, bench_json_path: str) -> dict:
                                          .replace(".json", "")
     record_ctx = {k: ctx[k] for k in CONTEXT_KEYS if k in ctx}
     # diag_* keys are this repo's own AddCustomContext payload (build
-    # type, optimization, skip-idle batcher coverage) — keep them all.
+    # type, optimization) — keep them all.
     record_ctx.update(
         {k: v for k, v in ctx.items() if k.startswith("diag_")})
     rates = {}

@@ -5,10 +5,9 @@ Accepts any of the JSON shapes the obs layer emits and checks every
 metric registry found inside against the MetricRegistry::dumpJson
 schema (DESIGN.md §16):
 
-  * a bare registry dump — diag-run --obs-json, diag-serve --batch's
-    {"obs": ...} summary line;
-  * a soak report — diag-serve --soak --json, whose "obs" member is a
-    registry;
+  * a bare registry dump (MetricRegistry::dumpJson);
+  * diag-serve --batch's {"obs": ...} summary line and a soak report
+    (diag-serve --soak --json), whose "obs" member is a registry;
   * any other JSON object — searched recursively for registry-shaped
     objects (an object with "group", "counters", "gauges",
     "histograms").

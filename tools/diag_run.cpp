@@ -8,8 +8,6 @@
  *     --threads N                 software threads (default: 1)
  *     --workload NAME             run a built-in benchmark kernel
  *     --simt                      use the workload's simt variant
- *     --dense-loop                disable skip-idle scheduling (diag
- *                                 engine; must not change any number)
  *     --list-workloads            print the benchmark inventory
  *     --stats                     dump every model counter
  *     --regs                      dump final integer registers
@@ -22,10 +20,6 @@
  *     --validate                  cross-check measured cycles against
  *                                 the static bound model (diag engine,
  *                                 workload mode)
- *     --obs                       report skip-idle fast-path coverage
- *                                 (batched fraction, probe outcomes,
- *                                 per-reason disqualifications)
- *     --obs-json FILE             byte-stable self-profile JSON dump
  *
  * With a .s file, the program is assembled and run; with --workload,
  * the named kernel (inputs + output check included) is run instead.
@@ -52,8 +46,6 @@
 #include "host/parallel.hpp"
 #include "harness/validate.hpp"
 #include "isa/disasm.hpp"
-#include "obs/metrics.hpp"
-#include "obs/sim_profile.hpp"
 #include "ooo/processor.hpp"
 #include "sim/fuzz.hpp"
 #include "sim/golden.hpp"
@@ -73,7 +65,6 @@ struct Options
     std::string file;
     unsigned threads = 1;
     bool simt = false;
-    bool dense_loop = false;
     bool stats = false;
     bool regs = false;
     bool golden_diff = false;
@@ -86,8 +77,6 @@ struct Options
     std::string trace_file;    //!< Chrome trace JSON output
     std::string metrics_file;  //!< time-series samples JSON output
     std::string stats_json;    //!< byte-stable counter dump output
-    bool obs = false;          //!< skip-idle self-profile report
-    std::string obs_json;      //!< byte-stable self-profile output
     u32 trace_events = trace::kDefaultEvents;
     u64 metrics_stride = 0;    //!< 0 = no time-series sampling
 
@@ -142,48 +131,6 @@ writeTraceOutputs(const Options &opt, const trace::Tracer &trc,
                     static_cast<unsigned long long>(
                         trc.metrics().stride()));
     }
-}
-
-/** Human-readable skip-idle coverage report (DESIGN.md §16). */
-void
-printObs(const obs::SimProfile &p)
-{
-    const auto u = [](u64 v) {
-        return static_cast<unsigned long long>(v);
-    };
-    std::printf("-- skip-idle coverage --\n");
-    std::printf("batched fraction    %.4f\n", p.batchedFraction());
-    std::printf("batched iterations  %llu (%llu insts over %llu "
-                "jumps)\n",
-                u(p.batched_iterations), u(p.batched_insts),
-                u(p.batch_jumps));
-    std::printf("dense activations   %llu\n", u(p.dense_activations));
-    std::printf("simt activations    %llu (%llu closed-form, %llu "
-                "iterative regions)\n",
-                u(p.simt_activations), u(p.simt_closed_form),
-                u(p.simt_iterative));
-    std::printf("probes              %llu attempts, %llu misses, "
-                "%llu blacklisted\n",
-                u(p.probe_attempts), u(p.probe_misses),
-                u(p.probe_blacklisted));
-    std::printf("lines batchable     %llu\n", u(p.lines_batchable));
-    std::printf("disqualified        %llu\n",
-                u(p.disqualifiedTotal()));
-    for (unsigned r = 0; r < obs::kReasonCount; ++r)
-        if (p.disqualified[r] > 0)
-            std::printf("  %-18s %llu\n", obs::batchReasonName(r),
-                        u(p.disqualified[r]));
-}
-
-/** Byte-stable self-profile dump for CI and the bench context. */
-void
-writeObsJson(const Options &opt, const obs::SimProfile &p)
-{
-    if (opt.obs_json.empty())
-        return;
-    std::ofstream os(opt.obs_json);
-    fatal_if(!os.good(), "cannot write '%s'", opt.obs_json.c_str());
-    obs::profileRegistry(p).dumpJson(os);
 }
 
 /** Satellite of the trace subsystem: byte-stable counters-to-file. */
@@ -271,18 +218,11 @@ runWorkload(const Options &opt)
                  "--trace/--metrics hook the diag engine only");
         spec.trace = &tc;
     }
-    if (opt.obs || !opt.obs_json.empty()) {
-        fatal_if(opt.engine != "diag",
-                 "--obs profiles the diag engine's skip-idle "
-                 "scheduler");
-        spec.obs = true;
-    }
     harness::EngineRun run;
     if (opt.engine == "diag") {
         core::DiagConfig cfg = harness::configByName(opt.config);
         if (opt.max_cycles)
             cfg.max_cycles = opt.max_cycles;
-        cfg.dense_loop = opt.dense_loop;
         run = harness::runOnDiag(cfg, w, spec);
     } else if (opt.engine == "ooo") {
         ooo::OooConfig cfg = ooo::OooConfig::baseline8();
@@ -301,11 +241,6 @@ runWorkload(const Options &opt)
     if (run.trace)
         writeTraceOutputs(opt, *run.trace,
                           {w.name, opt.config, opt.simt});
-    if (run.obs) {
-        if (opt.obs)
-            printObs(*run.obs);
-        writeObsJson(opt, *run.obs);
-    }
     writeStatsJson(opt, run.stats);
     int rc = classify(run.stats, run.checked);
     if (rc == 0 && opt.validate) {
@@ -338,8 +273,7 @@ runWorkload(const Options &opt)
 sim::RunStats
 runProgram(const Options &opt, const Program &prog,
            u32 final_regs[isa::kNumRegs], SparseMemory *mem_out,
-           trace::Tracer *trc = nullptr,
-           obs::SimProfile *prof = nullptr)
+           trace::Tracer *trc = nullptr)
 {
     sim::RunStats rs;
     if (opt.engine == "golden") {
@@ -373,13 +307,10 @@ runProgram(const Options &opt, const Program &prog,
         core::DiagConfig cfg = harness::configByName(opt.config);
         if (opt.max_cycles)
             cfg.max_cycles = opt.max_cycles;
-        cfg.dense_loop = opt.dense_loop;
         core::DiagProcessor proc(cfg);
         proc.attachTrace(trc);
-        proc.attachObs(prof);
         rs = proc.run(prog, opt.max_insts);
         proc.attachTrace(nullptr);
-        proc.attachObs(nullptr);
         for (unsigned i = 0; i < isa::kNumRegs; ++i)
             final_regs[i] =
                 proc.finalReg(0, static_cast<isa::RegId>(i));
@@ -446,24 +377,12 @@ runFile(const Options &opt)
                  "--trace/--metrics hook the diag engine only");
         trc = std::make_unique<trace::Tracer>(opt.traceConfig());
     }
-    std::unique_ptr<obs::SimProfile> prof;
-    if (opt.obs || !opt.obs_json.empty()) {
-        fatal_if(opt.engine != "diag",
-                 "--obs profiles the diag engine's skip-idle "
-                 "scheduler");
-        prof = std::make_unique<obs::SimProfile>();
-    }
     const sim::RunStats rs = runProgram(opt, prog, final_regs,
                                         want_mem ? &mem : nullptr,
-                                        trc.get(), prof.get());
+                                        trc.get());
     printStats(rs, opt);
     if (trc)
         writeTraceOutputs(opt, *trc, {opt.file, opt.config, false});
-    if (prof) {
-        if (opt.obs)
-            printObs(*prof);
-        writeObsJson(opt, *prof);
-    }
     writeStatsJson(opt, rs);
     if (opt.regs) {
         std::printf("-- registers --\n");
@@ -569,9 +488,6 @@ main(int argc, char **argv)
                 "run a built-in benchmark kernel")
         .flag("--simt", &opt.simt,
               "use the simt-annotated variant")
-        .flag("--dense-loop", &opt.dense_loop,
-              "disable skip-idle scheduling (diag engine; equivalence "
-              "debugging — must not change any reported number)")
         .flag("--list-workloads", &list_workloads,
               "list the benchmark inventory")
         .flag("--stats", &opt.stats, "dump all model counters")
@@ -600,11 +516,6 @@ main(int argc, char **argv)
                 "--metrics)")
         .option("--stats-json", &opt.stats_json, "FILE",
                 "byte-stable JSON counter dump")
-        .flag("--obs", &opt.obs,
-              "report skip-idle fast-path coverage (diag engine; "
-              "never changes cycles or counters)")
-        .option("--obs-json", &opt.obs_json, "FILE",
-                "byte-stable JSON self-profile dump")
         .operands(&files);
     switch (ap.parse(argc, argv)) {
     case harness::ArgParser::Status::Help:
