@@ -2,19 +2,22 @@
  * @file
  * Timing digests of the DiAG activation path (DESIGN.md §15). Each
  * case runs one fixed input — a bundled workload (F4C32 serial and
- * simt, F4C2 serial), a seeded fuzz program, a handwritten loop
- * kernel, or the nn workload under the tracer, the address recorder
- * or a fault campaign — and compares a one-line digest
+ * simt, F4C2 serial, and the ablation benches' no-reuse, no-memory-
+ * lane and stride-prefetch cells), a seeded fuzz program, a
+ * handwritten loop kernel, or the nn workload under the tracer, the
+ * address recorder or a fault campaign — and compares a one-line digest
  * (cycles, instructions and FNV-1a hashes of the counter dump, the
  * final architectural state or the rendered bytes) against
  * tests/golden/timing_digests.json.
  *
- * The snapshot was recorded while the dense per-PE stepping path and
- * the skip-idle fast paths still ran side by side and agreed bit for
- * bit on every one of these inputs, so a passing case means today's
- * single path still reproduces the dense reference exactly. After an
- * intended model change, regenerate with tools/update_goldens.sh
- * (which runs these cases with DIAG_UPDATE_DIGESTS=1).
+ * The SkipIdle* rows were recorded while the dense per-PE stepping
+ * path and the skip-idle fast paths still ran side by side and agreed
+ * bit for bit on every one of these inputs, so a passing case means
+ * today's single path still reproduces the dense reference exactly.
+ * The AblationDigests rows pin the counters of configurations no
+ * other golden runs. After an intended model change, regenerate with
+ * tools/update_goldens.sh (which runs every case in this file with
+ * DIAG_UPDATE_DIGESTS=1).
  */
 #include <gtest/gtest.h>
 
@@ -179,6 +182,39 @@ TEST(SkipIdleEquivalence, SmallConfigMatchesDense)
     const DiagConfig cfg = DiagConfig::f4c2();
     for (const workloads::Workload &w : workloads::rodiniaSuite())
         workloadOne("workload-f4c2", w, cfg, false);
+}
+
+// --- Ablation cells: the off/on side of each ablation bench. --------
+
+TEST(AblationDigests, NoReuseOnRodinia)
+{
+    // bench_ablation_reuse: every Rodinia workload without reuse.
+    DiagConfig cfg = DiagConfig::f4c32();
+    cfg.reuse_enabled = false;
+    for (const workloads::Workload &w : workloads::rodiniaSuite())
+        workloadOne("ablation-noreuse", w, cfg, false);
+}
+
+TEST(AblationDigests, NoMemLanes)
+{
+    // bench_ablation_memlanes' workloads without memory lanes.
+    DiagConfig cfg = DiagConfig::f4c32();
+    cfg.mem_lanes_enabled = false;
+    for (const char *name :
+         {"nw", "pathfinder", "lud", "xz", "bfs", "hotspot"})
+        workloadOne("ablation-nomemlanes", workloads::findWorkload(name),
+                    cfg, false);
+}
+
+TEST(AblationDigests, StridePrefetch)
+{
+    // bench_ablation_prefetch's workloads with the stride prefetcher.
+    DiagConfig cfg = DiagConfig::f4c32();
+    cfg.stride_prefetch_enabled = true;
+    for (const char *name : {"backprop", "lbm", "srad", "imagick", "mcf",
+                             "bfs", "xz", "kmeans"})
+        workloadOne("ablation-prefetch", workloads::findWorkload(name),
+                    cfg, false);
 }
 
 // --- Fuzz corpus: seeded random programs, all generator modes. -----

@@ -35,6 +35,23 @@ makeOracle(const Program &prog)
     return std::make_unique<LockstepOracle>(sim::GoldenSim(prog));
 }
 
+/** The run report's fault counters agree with the controller's tally
+ *  (a counter missing from the report reads as zero). */
+void
+expectCountersMatchTally(const sim::RunStats &rs,
+                         const FaultController &fc)
+{
+    const FaultTally &t = fc.tally();
+    EXPECT_EQ(rs.counters.get("fault_parity_detections"),
+              static_cast<double>(t.parity_detections));
+    EXPECT_EQ(rs.counters.get("fault_lockstep_detections"),
+              static_cast<double>(t.lockstep_detections));
+    EXPECT_EQ(rs.counters.get("fault_recoveries"),
+              static_cast<double>(t.recoveries));
+    EXPECT_EQ(rs.counters.get("clusters_disabled"),
+              static_cast<double>(t.clusters_disabled));
+}
+
 } // namespace
 
 TEST(FaultInjection, EmptyControllerIsCycleNeutral)
@@ -87,6 +104,7 @@ TEST(FaultInjection, ParityDetectsLaneFlipAndRecovers)
     // Rollback restored the clean lane file: the sum is still right.
     EXPECT_EQ(proc.finalReg(0, 10), 5050u);
     EXPECT_EQ(rs.counters.get("fault_recoveries"), 1.0);
+    expectCountersMatchTally(rs, fc);
 }
 
 TEST(FaultInjection, UndetectedLaneFlipCorruptsResult)
@@ -144,6 +162,7 @@ TEST(FaultInjection, LockstepDetectsPeResultFlip)
     // The transient flip is one-shot: re-execution after rollback is
     // clean, so the architectural result is intact.
     EXPECT_EQ(proc.finalReg(0, 10), 5050u);
+    expectCountersMatchTally(rs, fc);
 }
 
 TEST(FaultInjection, StuckPeDisablesClusterAndCompletes)
@@ -181,6 +200,7 @@ TEST(FaultInjection, StuckPeDisablesClusterAndCompletes)
     EXPECT_GE(fc.tally().lockstep_detections, 2u);
     EXPECT_EQ(fc.tally().clusters_disabled, 1u);
     EXPECT_EQ(rs.counters.get("clusters_disabled"), 1.0);
+    expectCountersMatchTally(rs, fc);
     EXPECT_EQ(proc.finalReg(0, 10), 5050u);
     // Degraded, not free: rollbacks and remapping cost cycles.
     EXPECT_GT(rs.cycles, base.cycles);

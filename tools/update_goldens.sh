@@ -14,10 +14,15 @@
 #                                simt, 16 threads, F4C2) (`stats_goldens`);
 #   timing_digests.json          cycles, instructions and output hashes
 #                                of every workload (F4C32 serial and
-#                                simt, F4C2), the fuzz corpus, the
-#                                loop and simt-fallback kernels and the
-#                                nn trace/address-log/fault-campaign runs
-#                                (test_diag's SkipIdle* cases).
+#                                simt, F4C2), the ablation benches'
+#                                cells (no reuse on every Rodinia
+#                                workload, no memory lanes and stride
+#                                prefetch on the workloads their benches
+#                                list), the fuzz corpus, the loop and
+#                                simt-fallback kernels and the nn
+#                                trace/address-log/fault-campaign runs
+#                                (every case in
+#                                tests/diag/test_timing_digests.cpp).
 # Rerun this after any intentional change to the analyzers, the engine
 # models or the workloads, then commit the diff.
 set -euo pipefail
@@ -46,8 +51,14 @@ out="$repo/tests/golden/stats_all_workloads.json"
     -DUPDATE=ON -P "$repo/tests/golden/check_stats_goldens.cmake")
 echo "wrote $out ($(wc -c < "$out") bytes)"
 
+# Each case writes its own rows, so the filter selects every suite the
+# file declares (TEST_P suites carry an instantiation prefix).
 out="$repo/tests/golden/timing_digests.json"
+filter="$(sed -nE -e 's/^TEST\(([A-Za-z0-9_]+),.*/\1.*/p' \
+                  -e 's|^TEST_P\(([A-Za-z0-9_]+),.*|*/\1.*|p' \
+              "$repo/tests/diag/test_timing_digests.cpp" |
+          sort -u | paste -sd: -)"
 rm -f "$out"
 DIAG_UPDATE_DIGESTS=1 "$build/tests/test_diag" \
-    --gtest_filter='*SkipIdle*' > /dev/null
+    --gtest_filter="$filter" > /dev/null
 echo "wrote $out ($(wc -c < "$out") bytes)"
