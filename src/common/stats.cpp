@@ -1,21 +1,11 @@
 #include "common/stats.hpp"
 
 #include <cmath>
-#include <iomanip>
 
 #include "common/log.hpp"
 
 namespace diag
 {
-
-void
-StatGroup::dump(std::ostream &os) const
-{
-    for (const auto &kv : values_) {
-        os << name_ << '.' << kv.first << ' ' << std::setprecision(12)
-           << kv.second << '\n';
-    }
-}
 
 std::string
 jsonNumber(double v)

@@ -1,8 +1,10 @@
 /**
  * @file
- * Lightweight named-statistics registry. Components own a StatGroup and
- * register scalar counters in it; the harness and benches walk groups to
- * render tables or feed the energy model.
+ * The run report: a byte-stable map from counter key to value. The
+ * engines count into fixed counter sets (common/counters.hpp) and
+ * write them into a StatGroup once, at the end of a run; the energy
+ * model, the harness, the benches and every --stats-json dump read the
+ * report by key.
  */
 #ifndef DIAG_COMMON_STATS_HPP
 #define DIAG_COMMON_STATS_HPP
@@ -10,8 +12,6 @@
 #include <map>
 #include <ostream>
 #include <string>
-
-#include "common/types.hpp"
 
 namespace diag
 {
@@ -33,17 +33,10 @@ std::string jsonNumber(double v);
 std::string jsonEscape(const std::string &s);
 
 /**
- * A flat collection of named double-valued statistics. Counters default
- * to zero; reading a missing counter returns zero so consumers do not
- * need to know the full set in advance.
- *
- * Concurrency contract (host execution layer, DESIGN.md §10): a
- * StatGroup is deliberately unsynchronized — inc() sits on the
- * simulators' per-event hot path where a mutex or atomic would
- * dominate the cost. Every group must therefore stay confined to the
- * host worker that owns its simulator instance; cross-worker
- * aggregation happens after the owning tasks complete, on the merging
- * thread, via merge(). There are no process-global StatGroups.
+ * A named, flat, key-sorted set of double-valued results. Reading a
+ * missing key returns zero, so consumers do not need to know the full
+ * set in advance. Unsynchronized: a report is built by the worker that
+ * ran the simulation and read after the run (DESIGN.md §10).
  */
 class StatGroup
 {
@@ -51,15 +44,8 @@ class StatGroup
     explicit StatGroup(std::string name = "stats") : name_(std::move(name))
     {}
 
-    /** Group name used as a prefix when dumping. */
+    /** Group name written into the JSON dump. */
     const std::string &name() const { return name_; }
-
-    /** Add @p delta (default 1) to the counter @p key. */
-    void
-    inc(const std::string &key, double delta = 1.0)
-    {
-        values_[key] += delta;
-    }
 
     /** Overwrite the counter @p key. */
     void
@@ -76,60 +62,8 @@ class StatGroup
         return it == values_.end() ? 0.0 : it->second;
     }
 
-    /** True iff the counter was ever written. */
-    bool
-    has(const std::string &key) const
-    {
-        return values_.find(key) != values_.end();
-    }
-
-    /**
-     * Reset the group. With @p retain_keys (the default) every counter
-     * is zeroed but stays registered, so a later dump() still lists it
-     * — the mode reset-between-runs callers want, since dumps keep a
-     * stable schema across runs. With retain_keys = false the key set
-     * itself is dropped (has() turns false), for reusing one group
-     * across unrelated programs without leaking per-PC counters such
-     * as simt_region_* between them. Dropping the key set destroys the
-     * map nodes, so the epoch advances and every cached StatCounter
-     * handle re-binds on its next use.
-     */
-    void
-    clear(bool retain_keys = true)
-    {
-        if (!retain_keys) {
-            values_.clear();
-            ++epoch_;
-            return;
-        }
-        for (auto &kv : values_)
-            kv.second = 0.0;
-    }
-
-    /** Merge another group into this one by summing matching keys. */
-    void
-    merge(const StatGroup &other)
-    {
-        for (const auto &kv : other.values_)
-            values_[kv.first] += kv.second;
-    }
-
     /** All (key, value) pairs, sorted by key. */
     const std::map<std::string, double> &all() const { return values_; }
-
-    /**
-     * Stable address of the counter @p key, creating it (at zero) if
-     * absent. std::map nodes never move, so the pointer stays valid
-     * for the group's lifetime or until clear(false) drops the key
-     * set — which is what epoch() lets StatCounter detect.
-     */
-    double *slot(const std::string &key) { return &values_[key]; }
-
-    /** Generation of the key set; advanced by clear(false). */
-    u64 epoch() const { return epoch_; }
-
-    /** Pretty-print "group.key value" lines. */
-    void dump(std::ostream &os) const;
 
     /**
      * Machine-readable dump: one JSON object with the group name and a
@@ -144,55 +78,6 @@ class StatGroup
   private:
     std::string name_;
     std::map<std::string, double> values_;
-    u64 epoch_ = 1;
-};
-
-/**
- * Cached handle to one StatGroup counter for per-event hot paths.
- * inc() through a string key costs a map lookup (and a std::string
- * construction at const char* call sites) on every event; a handle
- * costs one epoch compare plus a pointer add once bound.
- *
- * The binding is lazy: the key is created in the group on the first
- * inc(), never before — so "a counter exists iff it was ever
- * incremented" (and with it the byte-stable dumpJson key set) is
- * preserved exactly. read() never creates the key either. The handle
- * re-binds automatically after StatGroup::clear(false) via the
- * group's epoch. @p key must have static storage duration (string
- * literals at every call site in-tree).
- */
-class StatCounter
-{
-  public:
-    StatCounter(StatGroup &group, const char *key)
-        : group_(&group), key_(key)
-    {}
-
-    /** Add @p delta (default 1) to the bound counter. */
-    void
-    inc(double delta = 1.0)
-    {
-        if (epoch_ != group_->epoch()) {
-            slot_ = group_->slot(key_);
-            epoch_ = group_->epoch();
-        }
-        *slot_ += delta;
-    }
-
-    /** Current value; does not create the key when never incremented. */
-    double
-    read() const
-    {
-        if (epoch_ == group_->epoch())
-            return *slot_;
-        return group_->get(key_);
-    }
-
-  private:
-    StatGroup *group_;
-    const char *key_;
-    double *slot_ = nullptr;
-    u64 epoch_ = 0;  //!< 0 never matches a live group epoch (>= 1)
 };
 
 } // namespace diag

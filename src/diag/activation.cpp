@@ -17,8 +17,9 @@ using namespace diag::isa;
 
 ActivationEngine::ActivationEngine(const DiagConfig &cfg,
                                    mem::MemHierarchy &mh,
-                                   unsigned mem_port, StatGroup &stats)
-    : cfg_(cfg), mh_(mh), mem_port_(mem_port), stats_(stats),
+                                   unsigned mem_port,
+                                   DiagCounters &counters)
+    : cfg_(cfg), mh_(mh), mem_port_(mem_port), counters_(counters),
       line_bytes_(cfg.pes_per_cluster * 4)
 {}
 
@@ -26,7 +27,7 @@ Cycle
 ActivationEngine::serveLoad(Cluster &cl, ThreadMemCtx &tmc, Addr ea,
                             u8 size, Cycle issue, unsigned pe)
 {
-    st_loads_.inc();
+    ++counters_[DiagCounter::loads];
     // Localized stride prefetch: each PE slot holds one (reused)
     // memory instruction, so its address stream is highly regular.
     if (cfg_.stride_prefetch_enabled) {
@@ -37,7 +38,7 @@ ActivationEngine::serveLoad(Cluster &cl, ThreadMemCtx &tmc, Addr ea,
             // the background (bank occupancy is paid, the PE is not).
             mh_.dataAccess(mem_port_, predict, false, issue);
             cl.lineBufAccess(alignDown(predict, 64));
-            st_stride_prefetches_.inc();
+            ++counters_[DiagCounter::stride_prefetches];
         }
     }
     // Queue admission: at most lsq_entries outstanding requests.
@@ -45,8 +46,7 @@ ActivationEngine::serveLoad(Cluster &cl, ThreadMemCtx &tmc, Addr ea,
     std::erase_if(q, [&](Cycle done) { return done <= issue; });
     if (q.size() >= cfg_.lsq_entries) {
         const Cycle earliest = *std::min_element(q.begin(), q.end());
-        st_mem_queue_stall_cycles_.inc(
-            static_cast<double>(earliest - issue));
+        counters_[DiagCounter::mem_queue_stall_cycles] += earliest - issue;
         if (trc_)
             trc_->lsuQueue(ring_, static_cast<u16>(cl.index),
                            cl.line_base + 4 * pe, issue,
@@ -63,7 +63,7 @@ ActivationEngine::serveLoad(Cluster &cl, ThreadMemCtx &tmc, Addr ea,
     if (cfg_.mem_lanes_enabled) {
         const Cycle fwd = tmc.forwardProbe(ea, size);
         if (fwd != kNeverCycle) {
-            st_memlane_fwd_.inc();
+            ++counters_[DiagCounter::memlane_fwd];
             if (trc_)
                 trc_->memLaneHit(
                     ring_, cl.line_base + 4 * pe, std::max(grant, fwd),
@@ -74,24 +74,23 @@ ActivationEngine::serveLoad(Cluster &cl, ThreadMemCtx &tmc, Addr ea,
     // 2. Cluster line buffer: recently accessed lines (paper §5.2).
     const Addr line = alignDown(ea, 64);
     if (cl.lineBufAccess(line)) {
-        st_linebuf_hits_.inc();
+        ++counters_[DiagCounter::linebuf_hits];
         return grant + cfg_.line_buffer_latency;
     }
     // 3. Banked L1D (a second-level cache per §5.2), then L2, DRAM.
     const mem::MemResult res = mh_.dataAccess(mem_port_, ea, false,
                                               grant);
     switch (res.level) {
-      case mem::ServedBy::L1: st_l1_loads_.inc(); break;
-      case mem::ServedBy::L2: st_l2_loads_.inc(); break;
-      case mem::ServedBy::Dram: st_dram_loads_.inc(); break;
+      case mem::ServedBy::L1: ++counters_[DiagCounter::l1_loads]; break;
+      case mem::ServedBy::L2: ++counters_[DiagCounter::l2_loads]; break;
+      case mem::ServedBy::Dram: ++counters_[DiagCounter::dram_loads]; break;
     }
     // Memory stall attribution: everything beyond the cluster-local
     // ideal (memory-lane / line-buffer speed) counts as memory-stall
     // time, the way the paper attributes PE stalls to memory (§7.3.2).
     const Cycle ideal = grant + cfg_.line_buffer_latency;
     if (res.done > ideal)
-        st_mem_stall_cycles_.inc(
-            static_cast<double>(res.done - ideal));
+        counters_[DiagCounter::mem_stall_cycles] += res.done - ideal;
     q.push_back(res.done);
     return res.done;
 }
@@ -99,7 +98,7 @@ ActivationEngine::serveLoad(Cluster &cl, ThreadMemCtx &tmc, Addr ea,
 void
 ActivationEngine::commitStore(Cluster &cl, Addr ea, Cycle commit)
 {
-    st_stores_.inc();
+    ++counters_[DiagCounter::stores];
     // Committed stores drain from the memory lanes in the background
     // (the lanes "enable access reordering", §5.2): the write-back
     // occupies L1D bank bandwidth but not the cluster's load-issue
@@ -155,7 +154,7 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
         exited = true;
     };
 
-    st_activations_.inc();
+    ++counters_[DiagCounter::activations];
 
     for (unsigned i = (in.entry_pc - base) / 4; i < n && !exited; ++i) {
         const Addr addr = base + 4 * i;
@@ -270,15 +269,14 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
                 target = eo.target;
             }
             if (di.isFp())
-                st_fpu_active_cycles_.inc(
-                    static_cast<double>(execLatency(di)));
+                counters_[DiagCounter::fpu_active_cycles] += execLatency(di);
         }
-        st_pe_exec_.inc();
-        st_pe_busy_cycles_.inc(static_cast<double>(done - start));
+        ++counters_[DiagCounter::pe_exec];
+        counters_[DiagCounter::pe_busy_cycles] += done - start;
         // Clock-gated activity: execute-stage occupancy only (memory
         // wait time is spent in the LSU, not the PE's compute logic).
-        st_pe_exec_cycles_.inc(
-            static_cast<double>(di.isMem() ? 1 : execLatency(di)));
+        counters_[DiagCounter::pe_exec_cycles] +=
+            di.isMem() ? 1 : execLatency(di);
 
         // ---- destination lane write ----
         if (di.writesReg()) {
@@ -287,9 +285,8 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
                 regs[di.rd].parity = laneParity(value);
             if (trc_)
                 trc_->laneWrite(ring_, di.rd, addr, done, value);
-            st_lane_writes_.inc();
-            st_lane_hops_.inc(
-                static_cast<double>(last_seg - seg + 1));
+            ++counters_[DiagCounter::lane_writes];
+            counters_[DiagCounter::lane_hops] += last_seg - seg + 1;
         }
 
         // ---- PC-lane retirement (in program order) ----
@@ -360,13 +357,13 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
             // downstream PEs were held off and must be re-steered.
             floor = std::max(floor,
                              pc_leave + cfg_.squash_resteer + 2);
-            st_loop_exit_mispredicts_.inc();
-            st_ctrl_stall_cycles_.inc(
-                static_cast<double>(cfg_.squash_resteer + 3));
+            ++counters_[DiagCounter::loop_exit_mispredicts];
+            counters_[DiagCounter::ctrl_stall_cycles] +=
+                cfg_.squash_resteer + 3;
         }
         if (redirect) {
             ++out.taken_branches;
-            st_taken_branches_.inc();
+            ++counters_[DiagCounter::taken_branches];
             if (atrc_ && target <= addr)
                 atrc_->loopBack(addr);
             out.branch_done = done;
@@ -377,8 +374,8 @@ ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
                 // re-steer delays everything after the branch.
                 expect = target;
                 floor = std::max(floor, resolve + cfg_.squash_resteer);
-                st_ctrl_stall_cycles_.inc(
-                    static_cast<double>(cfg_.squash_resteer + 1));
+                counters_[DiagCounter::ctrl_stall_cycles] +=
+                    cfg_.squash_resteer + 1;
             } else {
                 out.redirect_backward = target <= addr;
                 finish(ActExit::Redirect, target, resolve);

@@ -10,9 +10,9 @@
 #ifndef DIAG_DIAG_ACTIVATION_HPP
 #define DIAG_DIAG_ACTIVATION_HPP
 
-#include "common/stats.hpp"
 #include "diag/cluster.hpp"
 #include "diag/config.hpp"
+#include "diag/counters.hpp"
 #include "diag/lanes.hpp"
 #include "diag/thread_ctx.hpp"
 #include "mem/hierarchy.hpp"
@@ -95,7 +95,7 @@ class ActivationEngine
 {
   public:
     ActivationEngine(const DiagConfig &cfg, mem::MemHierarchy &mh,
-                     unsigned mem_port, StatGroup &stats);
+                     unsigned mem_port, DiagCounters &counters);
 
     /** Run one activation for the thread @p tmc. @p regs is the lane
      *  file at the cluster input latch; it is updated in place and
@@ -134,33 +134,8 @@ class ActivationEngine
     const DiagConfig &cfg_;
     mem::MemHierarchy &mh_;
     unsigned mem_port_;
-    StatGroup &stats_;
+    DiagCounters &counters_;
     u32 line_bytes_;
-
-    // Lazy-bound counter handles for the per-activation hot path (see
-    // StatCounter): identical key-creation semantics to stats_.inc,
-    // without a map lookup per event.
-    StatCounter st_activations_{stats_, "activations"};
-    StatCounter st_pe_exec_{stats_, "pe_exec"};
-    StatCounter st_pe_busy_cycles_{stats_, "pe_busy_cycles"};
-    StatCounter st_pe_exec_cycles_{stats_, "pe_exec_cycles"};
-    StatCounter st_fpu_active_cycles_{stats_, "fpu_active_cycles"};
-    StatCounter st_lane_writes_{stats_, "lane_writes"};
-    StatCounter st_lane_hops_{stats_, "lane_hops"};
-    StatCounter st_taken_branches_{stats_, "taken_branches"};
-    StatCounter st_loop_exit_mispredicts_{stats_, "loop_exit_mispredicts"};
-    StatCounter st_ctrl_stall_cycles_{stats_, "ctrl_stall_cycles"};
-    StatCounter st_loads_{stats_, "loads"};
-    StatCounter st_stores_{stats_, "stores"};
-    StatCounter st_stride_prefetches_{stats_, "stride_prefetches"};
-    StatCounter st_mem_queue_stall_cycles_{stats_,
-                                           "mem_queue_stall_cycles"};
-    StatCounter st_memlane_fwd_{stats_, "memlane_fwd"};
-    StatCounter st_linebuf_hits_{stats_, "linebuf_hits"};
-    StatCounter st_l1_loads_{stats_, "l1_loads"};
-    StatCounter st_l2_loads_{stats_, "l2_loads"};
-    StatCounter st_dram_loads_{stats_, "dram_loads"};
-    StatCounter st_mem_stall_cycles_{stats_, "mem_stall_cycles"};
     fault::FaultController *fc_ = nullptr; //!< null = injection off
     trace::Tracer *trc_ = nullptr;         //!< null = tracing off
     trace::AddrTrace *atrc_ = nullptr;     //!< null = no address log

@@ -11,15 +11,14 @@ namespace diag::core
 {
 
 DiagProcessor::DiagProcessor(DiagConfig cfg)
-    : cfg_(std::move(cfg)), mh_(cfg_.mem, 1), bus_("diag_bus"),
-      stats_("diag")
+    : cfg_(std::move(cfg)), mh_(cfg_.mem, 1)
 {
     fatal_if(cfg_.total_clusters % cfg_.num_rings != 0,
              "%u clusters do not split evenly over %u rings",
              cfg_.total_clusters, cfg_.num_rings);
     for (unsigned r = 0; r < cfg_.num_rings; ++r)
         rings_.push_back(
-            std::make_unique<Ring>(cfg_, r, mh_, bus_, stats_));
+            std::make_unique<Ring>(cfg_, r, mh_, bus_, counters_));
 }
 
 sim::RunStats
@@ -45,17 +44,16 @@ DiagProcessor::beginRun(const Program &prog)
     if (!program_loaded_ || stale)
         loadProgram(prog);
     // Per-run isolation: a second run() used to fold the first run's
-    // counters into its RunStats (rs.counters started from the
-    // accumulated stats_) and to inherit its cache, bus, and ring
-    // state. Reset to the post-load state — re-warming if the caller
-    // warmed — so run-twice equals run-once. The first run skips all
-    // of this and is bit-identical to a fresh processor's.
+    // counters into its RunStats and to inherit its cache, bus, and
+    // ring state. Reset to the post-load state — re-warming if the
+    // caller warmed — so run-twice equals run-once. The first run
+    // skips all of this and is bit-identical to a fresh processor's.
     if (ran_) {
         for (auto &ring : rings_)
             ring->reset();
         bus_.reset();
         mh_.reset();
-        stats_.clear(false);
+        counters_.reset();
         if (warmed_)
             warmCaches();
     }
@@ -196,12 +194,17 @@ DiagProcessor::runThreads(const Program &prog,
         results_.push_back(tr);
     }
     rs.cycles = finish;
-    rs.counters = stats_;
+    // The run report: every nonzero counter, plus the always-present
+    // threads and bus counters.
+    rs.counters = StatGroup("diag");
+    counters_.emit(rs.counters);
+    mh_.emitCounters(rs.counters);
     rs.counters.set("threads", static_cast<double>(threads.size()));
+    const CounterSet<mem::BusCounter> &bus = bus_.counters();
+    rs.counters.set("bus_transfers",
+                    static_cast<double>(bus[mem::BusCounter::transfers]));
     rs.counters.set("bus_wait_cycles",
-                    bus_.stats().get("wait_cycles"));
-    rs.counters.set("bus_transfers", bus_.stats().get("transfers"));
-    mh_.mergeStats(rs.counters);
+                    static_cast<double>(bus[mem::BusCounter::wait_cycles]));
     return rs;
 }
 

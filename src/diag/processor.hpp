@@ -81,7 +81,7 @@ class DiagProcessor
      * activation engine, and the L1D banks emit typed events into it.
      * Purely observational — attaching a tracer never changes any
      * cycle the model computes. The caller keeps ownership and must
-     * keep the tracer alive across the run; like the StatGroup, a
+     * keep the tracer alive across the run; like the counters, a
      * tracer is unsynchronized and must stay confined to the worker
      * that owns this processor (DESIGN.md §11).
      */
@@ -124,9 +124,6 @@ class DiagProcessor
     /** Architectural register value of thread @p t after a run. */
     u32 finalReg(unsigned thread, isa::RegId reg) const;
 
-    /** Model-wide counters (activations, reuse, stalls, energy events). */
-    const StatGroup &stats() const { return stats_; }
-
   private:
     /**
      * Per-run setup: load (or reload, if @p prog differs from the
@@ -152,7 +149,7 @@ class DiagProcessor
     SparseMemory mem_;
     mem::MemHierarchy mh_;
     mem::Bus bus_;
-    StatGroup stats_;
+    DiagCounters counters_;
     std::vector<std::unique_ptr<Ring>> rings_;
     std::vector<ThreadResult> results_;
     bool program_loaded_ = false;

@@ -18,9 +18,9 @@ namespace diag::core
 using namespace diag::isa;
 
 Ring::Ring(const DiagConfig &cfg, unsigned index, mem::MemHierarchy &mh,
-           mem::Bus &bus, StatGroup &stats)
-    : cfg_(cfg), index_(index), mh_(mh), bus_(bus), stats_(stats),
-      engine_(cfg, mh, 0, stats),
+           mem::Bus &bus, DiagCounters &counters)
+    : cfg_(cfg), index_(index), mh_(mh), bus_(bus), counters_(counters),
+      engine_(cfg, mh, 0, counters),
       line_bytes_(cfg.pes_per_cluster * 4)
 {
     clusters_.resize(cfg.clustersPerRing());
@@ -80,7 +80,7 @@ Ring::disableCluster(Cluster &cl)
         resident_.erase(it);
     cl.evict();
     cl.disabled = true;
-    stats_.inc("clusters_disabled");
+    ++counters_[DiagCounter::clusters_disabled];
     if (faults_)
         faults_->noteClusterDisabled();
     warn("ring%u: cluster %u disabled after repeated faults; "
@@ -127,8 +127,7 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
     // The cluster must finish draining before it can be re-loaded.
     const Cycle start = std::max(when, cl.free_at);
     if (cl.free_at > when)
-        st_other_stall_cycles_.inc(
-            static_cast<double>(cl.free_at - when));
+        counters_[DiagCounter::other_stall_cycles] += cl.free_at - when;
     // I-cache line fetch, delivery over the shared 512-bit bus, and
     // one decode cycle (paper §5.1.1).
     const mem::MemResult res = mh_.fetchLine(0, line, start);
@@ -136,8 +135,8 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
     const Cycle ready =
         grant + cfg_.bus_iline_transfer + cfg_.decode_latency;
 
-    if (cl.last_use == 0)
-        st_clusters_used_.inc();  // first use: un-gates its lanes
+    if (cl.last_use == 0)  // first use: un-gates its lanes
+        ++counters_[DiagCounter::clusters_used];
     cl.line_base = line;
     cl.ready_at = ready;
     cl.last_use = ++use_counter_;
@@ -154,8 +153,8 @@ Ring::loadLine(Cluster &cl, Addr line, Cycle when, SparseMemory &mem)
             break;
         }
     }
-    st_iline_fetches_.inc();
-    st_decodes_.inc(cfg_.pes_per_cluster);
+    ++counters_[DiagCounter::iline_fetches];
+    counters_[DiagCounter::decodes] += cfg_.pes_per_cluster;
     return ready;
 }
 
@@ -186,7 +185,7 @@ Ring::prefetch(Addr line, Cycle when, SparseMemory &mem)
     if (resident_.count(line))
         return;
     ensureLoaded(line, when, mem);
-    st_prefetches_.inc();
+    ++counters_[DiagCounter::prefetches];
 }
 
 /** One software thread's state from activation to activation. */
@@ -322,7 +321,7 @@ Ring::faultBoundary(ThreadState &t)
     const int bad = faults_->paritySweep(t.regs);
     if (bad < 0)
         return Step::Go;
-    stats_.inc("fault_parity_detections");
+    ++counters_[DiagCounter::fault_parity_detections];
     faults_->noteParityDetection();
     if (!faults_->recoveryBudgetLeft()) {
         t.res.aborted = true;
@@ -334,7 +333,7 @@ Ring::faultBoundary(ThreadState &t)
     // Lane scrub: restore the checkpointed lane file and pay the
     // recovery penalty before re-entry.
     faults_->noteRecovery();
-    stats_.inc("fault_recoveries");
+    ++counters_[DiagCounter::fault_recoveries];
     t.regs = ckpt.regs;
     const Cycle resume = t.now() + faults_->detect().recovery_penalty;
     t.pc_enter = resume;
@@ -352,9 +351,9 @@ Ring::residency(ThreadState &t)
     const Resident got =
         ensureLoaded(alignDown(t.pc, line_bytes_), demand, t.mem);
     if (got.reused)
-        st_reuse_activations_.inc();
+        ++counters_[DiagCounter::reuse_activations];
     if (got.ready > demand)
-        st_fetch_wait_cycles_.inc(static_cast<double>(got.ready - demand));
+        counters_[DiagCounter::fetch_wait_cycles] += got.ready - demand;
     return got;
 }
 
@@ -419,7 +418,7 @@ Ring::lockstep(ThreadState &t, Cluster &cl, Cycle end)
     // activation: discard its architectural effects (precise at the
     // activation boundary), roll back, and re-execute. A cluster blamed
     // repeatedly is taken offline.
-    stats_.inc("fault_lockstep_detections");
+    ++counters_[DiagCounter::fault_lockstep_detections];
     faults_->noteLockstepDetection();
     if (!faults_->recoveryBudgetLeft()) {
         t.res.aborted = true;
@@ -429,7 +428,7 @@ Ring::lockstep(ThreadState &t, Cluster &cl, Cycle end)
         return Step::Stop;
     }
     faults_->noteRecovery();
-    stats_.inc("fault_recoveries");
+    ++counters_[DiagCounter::fault_recoveries];
     faults_->undoLog().rollback(t.mem);
     t.regs = t.ckpt.regs;
     t.pc = t.ckpt.pc;
@@ -503,7 +502,7 @@ Ring::farRedirect(ThreadState &t, Addr next, Cycle resolve)
     t.pc = next;
     t.pc_enter = xfer;
     t.min_start = resolve + cfg_.squash_resteer;
-    st_ctrl_stall_cycles_.inc(static_cast<double>(xfer - resolve));
+    counters_[DiagCounter::ctrl_stall_cycles] += xfer - resolve;
 }
 
 void
@@ -525,7 +524,7 @@ Ring::redirect(ThreadState &t, const Cluster &cl,
         // transfer.
         handOver(t, act.exit_pc, act.exit_resolve);
         t.min_start = act.branch_done + cfg_.inter_cluster_latch;
-        st_reuse_redirects_.inc();
+        ++counters_[DiagCounter::reuse_redirects];
         if (trc_)
             trc_->reuseHit(static_cast<u8>(index_),
                            static_cast<u16>(clusters_[res_it->second].index),
@@ -536,7 +535,7 @@ Ring::redirect(ThreadState &t, const Cluster &cl,
         // costs the re-steer bubble.
         handOver(t, act.exit_pc, act.exit_resolve);
         t.min_start = act.exit_resolve + cfg_.squash_resteer;
-        st_ctrl_stall_cycles_.inc(static_cast<double>(cfg_.squash_resteer));
+        counters_[DiagCounter::ctrl_stall_cycles] += cfg_.squash_resteer;
     } else {
         // Mispredicted control transfer to a far or non-resident
         // target: register file over the bus plus the squash re-steer.
@@ -564,7 +563,7 @@ Ring::simtTrap(ThreadState &t, const Resident &got,
             return Step::Stop;
         }
         not_pipelinable_.insert(simt_s_pc);
-        stats_.inc("simt_fallbacks");
+        ++counters_[DiagCounter::simt_fallbacks];
     }
     // Fall back to scalar execution: re-enter at the simt_s with
     // trapping suppressed via a one-shot serial pass.
@@ -640,14 +639,14 @@ Ring::runSimtPipeline(const SimtRegion &region, Addr simt_s_pc,
     if (count.capped)
         warn("simt region at 0x%x exceeds 2^20 threads; capping",
              simt_s_pc);
-    stats_.inc("simt_regions");
-    stats_.inc("simt_threads", static_cast<double>(trips));
-    // Per-region counters (keyed by the simt_s pc) let the bound
-    // validator compare each region's measured duration against its
-    // static model (tools/diag_bound.cpp --validate).
-    stats_.inc(detail::vformat("simt_region_%08x_entries", simt_s_pc));
-    stats_.inc(detail::vformat("simt_region_%08x_threads", simt_s_pc),
-               static_cast<double>(trips));
+    ++counters_[DiagCounter::simt_regions];
+    counters_[DiagCounter::simt_threads] += trips;
+    // Per-region counts let the bound validator compare each region's
+    // measured duration against its static model (tools/diag_bound.cpp
+    // --validate).
+    CounterSet<RegionCounter> &counts = counters_.regions[simt_s_pc];
+    ++counts[RegionCounter::entries];
+    counts[RegionCounter::threads] += trips;
     if (trc_)
         trc_->regionEnter(static_cast<u8>(index_), simt_s_pc, resolve,
                           trips);
@@ -670,7 +669,7 @@ Ring::runSimtPipeline(const SimtRegion &region, Addr simt_s_pc,
         clusters_.size() / lines.size());
     const unsigned replicas = static_cast<unsigned>(std::max<u64>(
         1, std::min<u64>({max_replicas, trips})));
-    stats_.inc("simt_replicas", static_cast<double>(replicas));
+    counters_[DiagCounter::simt_replicas] += replicas;
 
     // Allocate and load stage clusters: replica r, stage s uses a
     // dedicated cluster. Replica 0 reuses already-resident lines.
@@ -778,9 +777,8 @@ Ring::runSimtPipeline(const SimtRegion &region, Addr simt_s_pc,
     for (Addr line : lines)
         pinned_lines_.erase(line);
 
-    stats_.inc(detail::vformat("simt_region_%08x_cycles", simt_s_pc),
-               static_cast<double>(last_exit_resolve +
-                                   cfg_.inter_cluster_latch - resolve));
+    counts[RegionCounter::cycles] +=
+        last_exit_resolve + cfg_.inter_cluster_latch - resolve;
     if (trc_)
         trc_->regionExit(static_cast<u8>(index_), simt_s_pc, resolve,
                          last_exit_resolve + cfg_.inter_cluster_latch);

@@ -41,7 +41,7 @@ class Ring
 {
   public:
     Ring(const DiagConfig &cfg, unsigned index, mem::MemHierarchy &mh,
-         mem::Bus &bus, StatGroup &stats);
+         mem::Bus &bus, DiagCounters &counters);
 
     /**
      * Run a thread starting at @p entry with initial lane state
@@ -202,7 +202,7 @@ class Ring
     unsigned index_;
     mem::MemHierarchy &mh_;
     mem::Bus &bus_;
-    StatGroup &stats_;
+    DiagCounters &counters_;
     ActivationEngine engine_;
     std::vector<Cluster> clusters_;
     std::unordered_map<Addr, unsigned> resident_;  // line -> cluster
@@ -210,18 +210,6 @@ class Ring
     std::set<Addr> not_pipelinable_;   //!< simt_s PCs that fell back
     u64 use_counter_ = 0;
     u32 line_bytes_;
-
-    // Lazy-bound counter handles for the per-activation and per-line
-    // hot paths (DESIGN.md §10, hot-path counters).
-    StatCounter st_reuse_activations_{stats_, "reuse_activations"};
-    StatCounter st_fetch_wait_cycles_{stats_, "fetch_wait_cycles"};
-    StatCounter st_reuse_redirects_{stats_, "reuse_redirects"};
-    StatCounter st_ctrl_stall_cycles_{stats_, "ctrl_stall_cycles"};
-    StatCounter st_other_stall_cycles_{stats_, "other_stall_cycles"};
-    StatCounter st_clusters_used_{stats_, "clusters_used"};
-    StatCounter st_iline_fetches_{stats_, "iline_fetches"};
-    StatCounter st_decodes_{stats_, "decodes"};
-    StatCounter st_prefetches_{stats_, "prefetches"};
     fault::FaultController *faults_ = nullptr; //!< null = no injection
     trace::Tracer *trc_ = nullptr;             //!< null = tracing off
     trace::AddrTrace *atrc_ = nullptr;         //!< null = no addr log

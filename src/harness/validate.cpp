@@ -82,11 +82,11 @@ validateBound(const core::DiagConfig &cfg, const workloads::Workload &w,
         RegionCheck c;
         c.pc = r.simt_s_pc;
         c.entries = run.stats.counters.get(
-            detail::vformat("simt_region_%08x_entries", r.simt_s_pc));
+            sim::simtRegionKey(r.simt_s_pc, "entries"));
         c.threads = run.stats.counters.get(
-            detail::vformat("simt_region_%08x_threads", r.simt_s_pc));
+            sim::simtRegionKey(r.simt_s_pc, "threads"));
         c.measured = run.stats.counters.get(
-            detail::vformat("simt_region_%08x_cycles", r.simt_s_pc));
+            sim::simtRegionKey(r.simt_s_pc, "cycles"));
         if (c.entries <= 0) {
             // Region never pipelined at run time (not reached, or the
             // control unit rejected it): nothing to compare.

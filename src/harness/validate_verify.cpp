@@ -273,10 +273,10 @@ validateVerify(const core::DiagConfig &cfg, const sim::FuzzOptions &fo,
     for (const auto &r : vr.regions) {
         if (r.deadlock != Verdict::Proven || !diag_halted)
             continue;
-        const double entries = drs.counters.get(detail::vformat(
-            "simt_region_%08x_entries", r.simt_s_pc));
-        const double threads = drs.counters.get(detail::vformat(
-            "simt_region_%08x_threads", r.simt_s_pc));
+        const double entries =
+            drs.counters.get(sim::simtRegionKey(r.simt_s_pc, "entries"));
+        const double threads =
+            drs.counters.get(sim::simtRegionKey(r.simt_s_pc, "threads"));
         if (entries > 0 &&
             threads !=
                 entries * static_cast<double>(r.threads))

@@ -8,21 +8,21 @@
 #ifndef DIAG_MEM_BUS_HPP
 #define DIAG_MEM_BUS_HPP
 
-#include <string>
-
 #include "common/calendar.hpp"
-#include "common/stats.hpp"
-#include "common/types.hpp"
+#include "common/counters.hpp"
 
 namespace diag::mem
 {
+
+#define DIAG_BUS_COUNTERS(X) X(transfers) X(wait_cycles)
+
+/** Bus activity: transfers granted and cycles requests waited. */
+DIAG_COUNTER_SET(BusCounter, DIAG_BUS_COUNTERS)
 
 /** Single-requester-at-a-time bus with FCFS arbitration. */
 class Bus
 {
   public:
-    explicit Bus(std::string name) : stats_(std::move(name)) {}
-
     /**
      * Request the bus at @p now for @p occupancy cycles. Returns the
      * grant cycle; the transfer completes at grant + occupancy.
@@ -31,27 +31,21 @@ class Bus
     request(Cycle now, Cycle occupancy)
     {
         const Cycle grant = calendar_.reserve(now, occupancy);
-        st_transfers_.inc();
-        st_busy_cycles_.inc(static_cast<double>(occupancy));
-        if (grant > now)
-            st_wait_cycles_.inc(static_cast<double>(grant - now));
+        ++counters_[BusCounter::transfers];
+        counters_[BusCounter::wait_cycles] += grant - now;
         return grant;
     }
 
     /** True iff a request granted at @p now would have to wait. */
     bool busyAt(Cycle now) const { return calendar_.busyAt(now); }
 
-    void reset() { calendar_.clear(); stats_.clear(); }
+    void reset() { calendar_.clear(); counters_.reset(); }
 
-    StatGroup &stats() { return stats_; }
+    const CounterSet<BusCounter> &counters() const { return counters_; }
 
   private:
     BusyCalendar calendar_;
-    StatGroup stats_;
-    // Lazy-bound counter handles for the per-request hot path.
-    StatCounter st_transfers_{stats_, "transfers"};
-    StatCounter st_busy_cycles_{stats_, "busy_cycles"};
-    StatCounter st_wait_cycles_{stats_, "wait_cycles"};
+    CounterSet<BusCounter> counters_;
 };
 
 } // namespace diag::mem

@@ -9,7 +9,7 @@ namespace diag::mem
 {
 
 Cache::Cache(std::string name, const CacheParams &params)
-    : name_(std::move(name)), params_(params), stats_(name_)
+    : name_(std::move(name)), params_(params)
 {
     fatal_if(!isPow2(params_.line_bytes), "%s: line size not power of 2",
              name_.c_str());
@@ -51,16 +51,12 @@ Cache::access(Addr addr, bool is_write, Cycle now)
     const u32 bank = bankOf(addr);
     res.grant = bank_busy_[bank].reserve(now, params_.bank_occupancy);
     if (res.grant > now) {
-        st_bank_conflict_cycles_.inc(
-            static_cast<double>(res.grant - now));
+        counters_[CacheCounter::bank_conflict_cycles] += res.grant - now;
         if (tracer_)
             tracer_->bankConflict(static_cast<u16>(bank), addr, now,
                                   res.grant - now);
     }
-    if (is_write)
-        st_writes_.inc();
-    else
-        st_reads_.inc();
+    ++counters_[is_write ? CacheCounter::writes : CacheCounter::reads];
 
     const u32 set = setIndex(addr);
     const u32 tag = tagOf(addr);
@@ -73,11 +69,11 @@ Cache::access(Addr addr, bool is_write, Cycle now)
                 way.dirty = true;
             res.hit = true;
             res.done = res.grant + params_.hit_latency;
-            st_hits_.inc();
+            ++counters_[CacheCounter::hits];
             return res;
         }
     }
-    st_misses_.inc();
+    ++counters_[CacheCounter::misses];
     return res;
 }
 
@@ -123,12 +119,12 @@ Cache::fill(Addr addr, bool is_write, Cycle)
     }
     const bool writeback = victim->valid && victim->dirty;
     if (writeback)
-        st_writebacks_.inc();
+        ++counters_[CacheCounter::writebacks];
     victim->valid = true;
     victim->tag = tag;
     victim->dirty = is_write;
     victim->last_use = ++use_counter_;
-    st_fills_.inc();
+    ++counters_[CacheCounter::fills];
     return writeback;
 }
 
@@ -151,7 +147,7 @@ Cache::reset()
     for (BusyCalendar &bank : bank_busy_)
         bank.clear();
     use_counter_ = 0;
-    stats_.clear();
+    counters_.reset();
 }
 
 } // namespace diag::mem

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/calendar.hpp"
-#include "common/stats.hpp"
+#include "common/counters.hpp"
 #include "mem/params.hpp"
 #include "trace/tracer.hpp"
 
@@ -26,6 +26,13 @@ struct CacheLookup
     Cycle grant = 0;  //!< when the bank accepted the access
     Cycle done = 0;   //!< when data is available (valid iff hit)
 };
+
+#define DIAG_CACHE_COUNTERS(X)                                          \
+    X(reads) X(writes) X(hits) X(misses) X(fills) X(writebacks)         \
+    X(bank_conflict_cycles)
+
+/** Cache activity: accesses, outcomes, line traffic, bank waits. */
+DIAG_COUNTER_SET(CacheCounter, DIAG_CACHE_COUNTERS)
 
 /** One cache level. */
 class Cache
@@ -52,7 +59,7 @@ class Cache
 
     /**
      * Install the line containing @p addr without touching timing
-     * state or statistics (benchmark cache warming).
+     * state or counters (benchmark cache warming).
      */
     void warmFill(Addr addr) { fillQuiet(addr); }
 
@@ -66,8 +73,7 @@ class Cache
     std::string corruptWay(u64 pick, unsigned bit);
 
     const CacheParams &params() const { return params_; }
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
+    const CounterSet<CacheCounter> &counters() const { return counters_; }
 
     /** Attach (or detach with nullptr) a tracer: bank-conflict events
      *  are emitted from access(); one null check when detached. */
@@ -94,15 +100,7 @@ class Cache
     std::vector<Way> ways_;            // num_sets * assoc
     std::vector<BusyCalendar> bank_busy_;  // per bank
     u64 use_counter_ = 0;
-    StatGroup stats_;
-    // Lazy-bound counter handles for the per-access hot path.
-    StatCounter st_bank_conflict_cycles_{stats_, "bank_conflict_cycles"};
-    StatCounter st_reads_{stats_, "reads"};
-    StatCounter st_writes_{stats_, "writes"};
-    StatCounter st_hits_{stats_, "hits"};
-    StatCounter st_misses_{stats_, "misses"};
-    StatCounter st_writebacks_{stats_, "writebacks"};
-    StatCounter st_fills_{stats_, "fills"};
+    CounterSet<CacheCounter> counters_;
     trace::Tracer *tracer_ = nullptr;  //!< null = tracing off
 };
 

@@ -74,22 +74,18 @@ MemHierarchy::reset()
 }
 
 void
-MemHierarchy::mergeStats(StatGroup &out) const
+MemHierarchy::emitCounters(StatGroup &out) const
 {
-    StatGroup l1i_total("l1i");
-    StatGroup l1d_total("l1d");
+    CounterSet<CacheCounter> l1i_total;
+    CounterSet<CacheCounter> l1d_total;
     for (const auto &cache : l1i_)
-        l1i_total.merge(cache->stats());
+        l1i_total += cache->counters();
     for (const auto &cache : l1d_)
-        l1d_total.merge(cache->stats());
-    for (const auto &kv : l1i_total.all())
-        out.set("l1i." + kv.first, kv.second);
-    for (const auto &kv : l1d_total.all())
-        out.set("l1d." + kv.first, kv.second);
-    for (const auto &kv : l2_->stats().all())
-        out.set("l2." + kv.first, kv.second);
-    for (const auto &kv : dram_.stats().all())
-        out.set("dram." + kv.first, kv.second);
+        l1d_total += cache->counters();
+    l1i_total.emit(out, "l1i.");
+    l1d_total.emit(out, "l1d.");
+    l2_->counters().emit(out, "l2.");
+    dram_.counters().emit(out, "dram.");
 }
 
 } // namespace diag::mem

@@ -27,12 +27,16 @@ struct MemResult
     ServedBy level = ServedBy::L1;
 };
 
+#define DIAG_DRAM_COUNTERS(X) X(accesses) X(wait_cycles)
+
+/** DRAM activity: line fetches and cycles they waited for the channel. */
+DIAG_COUNTER_SET(DramCounter, DIAG_DRAM_COUNTERS)
+
 /** DRAM channel with bandwidth occupancy. */
 class MainMemory
 {
   public:
-    explicit MainMemory(const MainMemoryParams &params)
-        : params_(params), stats_("dram")
+    explicit MainMemory(const MainMemoryParams &params) : params_(params)
     {}
 
     /** Line fetch starting at @p now; returns data-ready cycle. */
@@ -41,23 +45,18 @@ class MainMemory
     {
         const Cycle grant =
             channel_.reserve(now, params_.line_occupancy);
-        st_accesses_.inc();
-        if (grant > now)
-            st_wait_cycles_.inc(static_cast<double>(grant - now));
+        ++counters_[DramCounter::accesses];
+        counters_[DramCounter::wait_cycles] += grant - now;
         return grant + params_.latency;
     }
 
-    void reset() { channel_.clear(); stats_.clear(); }
-    StatGroup &stats() { return stats_; }
-    const StatGroup &stats() const { return stats_; }
+    void reset() { channel_.clear(); counters_.reset(); }
+    const CounterSet<DramCounter> &counters() const { return counters_; }
 
   private:
     MainMemoryParams params_;
     BusyCalendar channel_;
-    StatGroup stats_;
-    // Lazy-bound counter handles for the per-access hot path.
-    StatCounter st_accesses_{stats_, "accesses"};
-    StatCounter st_wait_cycles_{stats_, "wait_cycles"};
+    CounterSet<DramCounter> counters_;
 };
 
 /**
@@ -78,7 +77,7 @@ class MemHierarchy
     MemResult dataAccess(unsigned port, Addr addr, bool is_write,
                          Cycle now);
 
-    /** Invalidate all levels and clear statistics. */
+    /** Invalidate all levels and zero their counters. */
     void reset();
 
     /**
@@ -106,8 +105,11 @@ class MemHierarchy
     Cache &l2() { return *l2_; }
     MainMemory &dram() { return dram_; }
 
-    /** Aggregate stats across all levels into @p out. */
-    void mergeStats(StatGroup &out) const;
+    /**
+     * Write every level's nonzero counters into @p out: the L1s summed
+     * over ports under "l1i." and "l1d.", then "l2." and "dram.".
+     */
+    void emitCounters(StatGroup &out) const;
 
   private:
     MemResult descend(Cache &l1, Addr addr, bool is_write, Cycle now);

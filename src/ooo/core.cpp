@@ -14,8 +14,8 @@ namespace diag::ooo
 using namespace diag::isa;
 
 OooCore::OooCore(const OooConfig &cfg, unsigned core_id,
-                 mem::MemHierarchy &mh, StatGroup &stats)
-    : cfg_(cfg), core_id_(core_id), mh_(mh), stats_(stats),
+                 mem::MemHierarchy &mh, OooCounters &counters)
+    : cfg_(cfg), core_id_(core_id), mh_(mh), counters_(counters),
       alu_(cfg.alu_units), mul_(cfg.mul_units), div_(cfg.div_units),
       fpu_(cfg.fpu_units), fpdiv_(cfg.fpdiv_units),
       memport_(cfg.mem_ports)
@@ -199,9 +199,9 @@ OooCore::runThread(Addr entry,
             c_val = reg_value(di.rs3);
         }
         if (di.rs1 != kNoReg)
-            st_regfile_reads_.inc();
+            ++counters_[OooCounter::regfile_reads];
         if (di.rs2 != kNoReg)
-            st_regfile_reads_.inc();
+            ++counters_[OooCounter::regfile_reads];
 
         // ---- issue (wakeup/select) ----
         FuPool &pool = poolFor(di.cls());
@@ -225,25 +225,31 @@ OooCore::runThread(Addr entry,
             const Cycle addr_ready = issue + 1;
             const Cycle ld_issue =
                 std::max(addr_ready, tracker.storeAddrGate());
-            st_lsq_searches_.inc();
+            ++counters_[OooCounter::lsq_searches];
             const Cycle fwd = tracker.forwardProbe(ea,
                                                    di.info().memBytes);
             if (fwd != kNeverCycle) {
                 complete = std::max(ld_issue, fwd) + 1;
-                st_stl_forwards_.inc();
+                ++counters_[OooCounter::stl_forwards];
             } else {
                 const mem::MemResult mr =
                     mh_.dataAccess(core_id_, ea, false, ld_issue);
                 complete = mr.done;
                 switch (mr.level) {
-                  case mem::ServedBy::L1: st_l1_loads_.inc(); break;
-                  case mem::ServedBy::L2: st_l2_loads_.inc(); break;
-                  case mem::ServedBy::Dram: st_dram_loads_.inc(); break;
+                  case mem::ServedBy::L1:
+                    ++counters_[OooCounter::l1_loads];
+                    break;
+                  case mem::ServedBy::L2:
+                    ++counters_[OooCounter::l2_loads];
+                    break;
+                  case mem::ServedBy::Dram:
+                    ++counters_[OooCounter::dram_loads];
+                    break;
                 }
             }
             value = loadExtend(di, mem.read(ea, di.info().memBytes));
             memop_hist[memop_count++ % cfg_.lsq_entries] = complete;
-            st_loads_.inc();
+            ++counters_[OooCounter::loads];
         } else if (di.isStore()) {
             const Addr ea = effectiveAddr(di, reg_value(di.rs1));
             complete = issue + 1;
@@ -258,7 +264,7 @@ OooCore::runThread(Addr entry,
                                 complete);
             mh_.dataAccess(core_id_, ea, true, complete);
             memop_hist[memop_count++ % cfg_.lsq_entries] = complete;
-            st_stores_.inc();
+            ++counters_[OooCounter::stores];
         } else {
             const ExecOut eo = execute(di, pc, reg_value(di.rs1),
                                        reg_value(di.rs2), c_val);
@@ -268,10 +274,11 @@ OooCore::runThread(Addr entry,
             redirect = eo.redirect;
             target = eo.target;
             switch (cls) {
-              case ExecClass::IntMul: st_fu_mul_.inc(); break;
-              case ExecClass::IntDiv: st_fu_div_.inc(); break;
+              case ExecClass::IntMul: ++counters_[OooCounter::fu_mul]; break;
+              case ExecClass::IntDiv: ++counters_[OooCounter::fu_div]; break;
               default:
-                (di.isFp() ? st_fu_fpu_ : st_fu_int_).inc();
+                ++counters_[di.isFp() ? OooCounter::fu_fpu
+                                      : OooCounter::fu_int];
                 break;
             }
         }
@@ -280,18 +287,18 @@ OooCore::runThread(Addr entry,
         if (di.writesReg()) {
             regs[di.rd] = value;
             reg_ready[di.rd] = complete + cfg_.wakeup_delay;
-            st_regfile_writes_.inc();
+            ++counters_[OooCounter::regfile_writes];
         }
 
         // ---- control flow and prediction ----
         const Addr next_pc = redirect ? target : pc + 4;
         if (di.isBranch() || di.op == Op::SIMT_E) {
-            st_bp_lookups_.inc();
+            ++counters_[OooCounter::bp_lookups];
             const bool taken = redirect;
             const bool pred = gshare.predict(pc);
             gshare.update(pc, taken);
             if (pred != taken) {
-                st_mispredicts_.inc();
+                ++counters_[OooCounter::mispredicts];
                 redirect_gate = std::max(
                     redirect_gate, complete + cfg_.mispredict_penalty);
             } else if (taken) {
@@ -303,7 +310,7 @@ OooCore::runThread(Addr entry,
             if (taken)
                 cur_line = ~Addr{0};
         } else if (di.op == Op::JAL) {
-            st_btb_lookups_.inc();
+            ++counters_[OooCounter::btb_lookups];
             Addr btb_target = 0;
             if (btb.lookup(pc, btb_target)) {
                 fetch_cycle = std::max(
@@ -323,20 +330,20 @@ OooCore::runThread(Addr entry,
             bool predicted = false;
             if (is_ret) {
                 predicted = ras.pop() == target;
-                st_ras_lookups_.inc();
+                ++counters_[OooCounter::ras_lookups];
             } else {
                 Addr btb_target = 0;
                 predicted = btb.lookup(pc, btb_target) &&
                             btb_target == target;
                 btb.insert(pc, target);
-                st_btb_lookups_.inc();
+                ++counters_[OooCounter::btb_lookups];
             }
             if (predicted) {
                 fetch_cycle = std::max(
                     fetch_cycle, fetched + cfg_.taken_branch_bubble);
                 fetch_in_cycle = 0;
             } else {
-                st_mispredicts_.inc();
+                ++counters_[OooCounter::mispredicts];
                 redirect_gate = std::max(
                     redirect_gate, complete + cfg_.mispredict_penalty);
             }
@@ -381,15 +388,12 @@ OooCore::runThread(Addr entry,
     }
 
     // Every retired instruction passed each pipeline stage exactly
-    // once, so the stage counters advance by the retired count. The
-    // guard keeps "a counter exists iff it was ever incremented".
-    if (res.retired != 0) {
-        const double n = static_cast<double>(res.retired);
-        for (StatCounter *c : {&st_fetches_, &st_decodes_, &st_renames_,
-                               &st_dispatches_, &st_issues_,
-                               &st_iq_wakeups_, &st_commits_})
-            c->inc(n);
-    }
+    // once, so the stage counters advance by the retired count.
+    for (OooCounter c :
+         {OooCounter::fetches, OooCounter::decodes, OooCounter::renames,
+          OooCounter::dispatches, OooCounter::issues,
+          OooCounter::iq_wakeups, OooCounter::commits})
+        counters_[c] += res.retired;
     if (!res.halted && !res.faulted && !res.timed_out) {
         res.timed_out = true;
         res.stop_reason = detail::vformat(

@@ -8,11 +8,11 @@ namespace diag::ooo
 {
 
 OooProcessor::OooProcessor(OooConfig cfg)
-    : cfg_(std::move(cfg)), mh_(cfg_.mem, cfg_.cores), stats_("ooo")
+    : cfg_(std::move(cfg)), mh_(cfg_.mem, cfg_.cores)
 {
     for (unsigned c = 0; c < cfg_.cores; ++c)
         cores_.push_back(
-            std::make_unique<OooCore>(cfg_, c, mh_, stats_));
+            std::make_unique<OooCore>(cfg_, c, mh_, counters_));
 }
 
 sim::RunStats
@@ -43,7 +43,7 @@ OooProcessor::beginRun(const Program &prog)
         for (auto &core : cores_)
             core->reset();
         mh_.reset();
-        stats_.clear(false);
+        counters_.reset();
         if (warmed_)
             warmCaches();
     }
@@ -82,9 +82,12 @@ OooProcessor::runThreads(const Program &prog,
         results_.push_back(cr);
     }
     rs.cycles = finish;
-    rs.counters = stats_;
+    // The run report: every nonzero counter, plus the always-present
+    // threads.
+    rs.counters = StatGroup("ooo");
+    counters_.emit(rs.counters);
+    mh_.emitCounters(rs.counters);
     rs.counters.set("threads", static_cast<double>(threads.size()));
-    mh_.mergeStats(rs.counters);
     return rs;
 }
 

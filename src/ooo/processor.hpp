@@ -77,8 +77,6 @@ class OooProcessor
     /** Architectural register of thread @p t after a run. */
     u32 finalReg(unsigned thread, isa::RegId reg) const;
 
-    const StatGroup &stats() const { return stats_; }
-
   private:
     /**
      * Per-run setup, mirroring DiagProcessor::beginRun: reload when
@@ -92,7 +90,7 @@ class OooProcessor
     OooConfig cfg_;
     SparseMemory mem_;
     mem::MemHierarchy mh_;
-    StatGroup stats_;
+    OooCounters counters_;
     std::vector<std::unique_ptr<OooCore>> cores_;
     std::vector<CoreResult> results_;
     bool program_loaded_ = false;

@@ -8,11 +8,25 @@
 
 #include <string>
 
+#include "common/log.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
 
 namespace diag::sim
 {
+
+/**
+ * Run-report key of one simt region counter: simt_region_<pc>_<field>,
+ * the simt_s pc in eight hex digits and @p field one of entries,
+ * threads or cycles (empty for the prefix they share). The DiAG engine
+ * writes these keys; the bound validator, the bottleneck attribution
+ * and the verifier's differential check read them.
+ */
+inline std::string
+simtRegionKey(Addr simt_s_pc, const char *field)
+{
+    return detail::vformat("simt_region_%08x_%s", simt_s_pc, field);
+}
 
 /** Result of running a workload on a timing model. */
 struct RunStats

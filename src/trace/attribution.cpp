@@ -1,6 +1,7 @@
 #include "trace/attribution.hpp"
 
 #include "common/log.hpp"
+#include "sim/run_stats.hpp"
 
 namespace diag::trace
 {
@@ -16,12 +17,12 @@ attributeRegions(const analysis::BoundResult &bound,
     for (const analysis::RegionBound &r : bound.regions) {
         RegionAttribution a;
         a.pc = r.simt_s_pc;
-        a.entries = counters.get(
-            detail::vformat("simt_region_%08x_entries", r.simt_s_pc));
-        a.threads = counters.get(
-            detail::vformat("simt_region_%08x_threads", r.simt_s_pc));
-        a.measured = counters.get(
-            detail::vformat("simt_region_%08x_cycles", r.simt_s_pc));
+        a.entries =
+            counters.get(sim::simtRegionKey(r.simt_s_pc, "entries"));
+        a.threads =
+            counters.get(sim::simtRegionKey(r.simt_s_pc, "threads"));
+        a.measured =
+            counters.get(sim::simtRegionKey(r.simt_s_pc, "cycles"));
         a.pipelined = a.entries > 0;
         if (!a.pipelined) {
             // Static-only attribution: model one entry with enough

@@ -538,9 +538,9 @@ compareScans(const Program &prog, const std::string &label)
 {
     const core::DiagConfig cfg = core::DiagConfig::f4c32();
     mem::MemHierarchy mh(cfg.mem, 1);
-    mem::Bus bus("lint_diff_bus");
-    StatGroup stats("lint_diff");
-    core::Ring ring(cfg, 0, mh, bus, stats);
+    mem::Bus bus;
+    core::DiagCounters counters;
+    core::Ring ring(cfg, 0, mh, bus, counters);
 
     SparseMemory mem;
     prog.loadInto(mem);

@@ -1,7 +1,7 @@
 /**
  * @file
- * StatGroup serialization and lifecycle: the byte-stable JSON dump
- * (golden-file regression), key escaping, and the two clear() modes.
+ * StatGroup serialization: the byte-stable JSON dump (golden-file
+ * regression), integer rendering and key escaping.
  */
 #include <fstream>
 #include <sstream>
@@ -73,38 +73,6 @@ TEST(StatsJson, EscapesHostileKeys)
     g.set("quote\"back\\slash", 1);
     const std::string out = dumpJsonOf(g);
     EXPECT_NE(out.find("quote\\\"back\\\\slash"), std::string::npos);
-}
-
-TEST(StatsClear, RetainKeysZeroesValuesButKeepsSchema)
-{
-    StatGroup g = sampleGroup();
-    g.clear();
-    EXPECT_TRUE(g.has("activations"));
-    EXPECT_EQ(g.get("activations"), 0.0);
-    EXPECT_EQ(g.all().size(), 5u);
-    // A dump after clear() lists the same keys (schema stability).
-    EXPECT_NE(dumpJsonOf(g).find("\"pi\": 0"), std::string::npos);
-}
-
-TEST(StatsClear, DropKeysForgetsTheSchema)
-{
-    StatGroup g = sampleGroup();
-    g.clear(/*retain_keys=*/false);
-    EXPECT_FALSE(g.has("activations"));
-    EXPECT_TRUE(g.all().empty());
-    EXPECT_EQ(dumpJsonOf(g),
-              "{\"group\": \"diag\", \"counters\": {}}\n");
-}
-
-TEST(StatsClear, MergeAfterClearStartsFresh)
-{
-    StatGroup g = sampleGroup();
-    StatGroup other("diag");
-    other.set("activations", 10);
-    g.clear();
-    g.merge(other);
-    EXPECT_EQ(g.get("activations"), 10.0);
-    EXPECT_EQ(g.get("ipc"), 0.0);  // retained key, still zero
 }
 
 } // namespace

@@ -18,8 +18,8 @@ struct Rig
 {
     DiagConfig cfg = DiagConfig::f4c2();
     mem::MemHierarchy mh{cfg.mem, 1};
-    StatGroup stats{"t"};
-    ActivationEngine engine{cfg, mh, 0, stats};
+    DiagCounters counters;
+    ActivationEngine engine{cfg, mh, 0, counters};
     SparseMemory mem;
     ThreadMemCtx tmc{mem, cfg.mem_lane_entries};
     Cluster cl;
@@ -224,7 +224,7 @@ TEST(Activation, StoreToLoadForwarding)
     regs[2].value = 0x8000;
     rig.run(0x1000, regs);
     EXPECT_EQ(rig.regs[3].value, 123u);
-    EXPECT_EQ(rig.stats.get("memlane_fwd"), 1.0);
+    EXPECT_EQ(rig.counters[DiagCounter::memlane_fwd], 1u);
     EXPECT_EQ(rig.tmc.mem().read32(0x8000), 123u);
 }
 
@@ -242,7 +242,7 @@ TEST(Activation, MemLanesDisabledGoesToCache)
     regs[2].value = 0x8000;
     rig.run(0x1000, regs);
     EXPECT_EQ(rig.regs[3].value, 55u);  // still correct
-    EXPECT_EQ(rig.stats.get("memlane_fwd"), 0.0);
+    EXPECT_EQ(rig.counters[DiagCounter::memlane_fwd], 0u);
 }
 
 TEST(Activation, LoadWaitsForOlderStoreAddress)
@@ -278,7 +278,7 @@ TEST(Activation, LineBufferHitIsFast)
     LaneFile regs{};
     regs[2].value = 0x8000;
     rig.run(0x1000, regs);
-    EXPECT_EQ(rig.stats.get("linebuf_hits"), 1.0);  // second load
+    EXPECT_EQ(rig.counters[DiagCounter::linebuf_hits], 1u);  // second load
 }
 
 TEST(Activation, MidLineEntryDisablesEarlierPes)

@@ -409,6 +409,22 @@ TEST(DiagProcessor, RunningDifferentProgramReloadsMemory)
     const sim::RunStats rs = twice.run(b);
     EXPECT_EQ(rs.cycles, rf.cycles);
     EXPECT_EQ(countersJson(rs), countersJson(rf));
+
+    // A program that stores and loads raises data-side counters B never
+    // touches; B's report must not list them, not even as zeros.
+    const Program mem_a = asmProgram(R"(
+        _start:
+            li t0, 0x400
+            li t1, 7
+            sw t1, 0(t0)
+            lw a0, 0(t0)
+            ebreak
+    )");
+    DiagProcessor after_mem(DiagConfig::f4c2());
+    ASSERT_TRUE(after_mem.run(mem_a).halted);
+    const sim::RunStats rm = after_mem.run(b);
+    EXPECT_EQ(rm.cycles, rf.cycles);
+    EXPECT_EQ(countersJson(rm), countersJson(rf));
 }
 
 TEST(DiagProcessor, RunTwiceEqualsRunOnce)

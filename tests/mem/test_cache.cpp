@@ -67,7 +67,7 @@ TEST(Cache, DirtyEvictionSignalsWriteback)
         c.fill(0x1000 + i * 0x100, false, i);
     // Evicting the dirty line returns true.
     EXPECT_TRUE(c.fill(0x1000 + 4 * 0x100, false, 10));
-    EXPECT_EQ(c.stats().get("writebacks"), 1.0);
+    EXPECT_EQ(c.counters()[CacheCounter::writebacks], 1u);
 }
 
 TEST(Cache, WriteHitSetsDirty)
@@ -119,11 +119,11 @@ TEST(Cache, StatsCount)
     c.fill(0x0, false, 0);
     c.access(0x0, false, 1);
     c.access(0x0, true, 2);
-    EXPECT_EQ(c.stats().get("reads"), 2.0);
-    EXPECT_EQ(c.stats().get("writes"), 1.0);
-    EXPECT_EQ(c.stats().get("hits"), 2.0);
-    EXPECT_EQ(c.stats().get("misses"), 1.0);
+    EXPECT_EQ(c.counters()[CacheCounter::reads], 2u);
+    EXPECT_EQ(c.counters()[CacheCounter::writes], 1u);
+    EXPECT_EQ(c.counters()[CacheCounter::hits], 2u);
+    EXPECT_EQ(c.counters()[CacheCounter::misses], 1u);
     c.reset();
-    EXPECT_EQ(c.stats().get("hits"), 0.0);
+    EXPECT_EQ(c.counters()[CacheCounter::hits], 0u);
     EXPECT_FALSE(c.access(0x0, false, 0).hit);  // invalidated
 }

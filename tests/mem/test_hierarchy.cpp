@@ -103,7 +103,7 @@ TEST(Hierarchy, MergedStats)
     mh.dataAccess(0, 0x1000, false, 0);
     mh.dataAccess(1, 0x2000, false, 0);
     StatGroup out("mem");
-    mh.mergeStats(out);
+    mh.emitCounters(out);
     EXPECT_EQ(out.get("l1d.misses"), 2.0);
     EXPECT_EQ(out.get("l2.misses"), 2.0);
     EXPECT_EQ(out.get("dram.accesses"), 2.0);
@@ -111,13 +111,14 @@ TEST(Hierarchy, MergedStats)
 
 TEST(Bus, FcfsOccupancy)
 {
-    Bus bus("bus");
+    Bus bus;
     EXPECT_EQ(bus.request(10, 2), 10u);
     EXPECT_EQ(bus.request(10, 2), 12u);   // queued behind first
     EXPECT_EQ(bus.request(11, 2), 14u);
     EXPECT_FALSE(bus.busyAt(100));
     EXPECT_TRUE(bus.busyAt(15));
-    EXPECT_EQ(bus.stats().get("transfers"), 3.0);
+    EXPECT_EQ(bus.counters()[BusCounter::transfers], 3u);
+    EXPECT_EQ(bus.counters()[BusCounter::wait_cycles], 5u);
     bus.reset();
     EXPECT_EQ(bus.request(0, 1), 0u);
 }

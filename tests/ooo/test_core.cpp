@@ -277,13 +277,32 @@ TEST(OooCore, RunningDifferentProgramReloadsMemory)
     EXPECT_EQ(proc.finalReg(0, 10), 111u);
     ASSERT_TRUE(proc.run(b).halted);
     EXPECT_EQ(proc.finalReg(0, 10), 222u);
+
+    // A program that stores and loads raises data-side counters B never
+    // touches; B's report must match a fresh processor's, listing none
+    // of them, not even as zeros.
+    const Program mem_a = asmProgram(R"(
+        _start:
+            li t0, 0x400
+            li t1, 7
+            sw t1, 0(t0)
+            lw a0, 0(t0)
+            ebreak
+    )");
+    OooProcessor fresh(OooConfig::baseline8());
+    const sim::RunStats rf = fresh.run(b);
+    OooProcessor after_mem(OooConfig::baseline8());
+    ASSERT_TRUE(after_mem.run(mem_a).halted);
+    const sim::RunStats rm = after_mem.run(b);
+    EXPECT_EQ(rm.cycles, rf.cycles);
+    EXPECT_EQ(countersJson(rm), countersJson(rf));
 }
 
 TEST(OooCore, RunTwiceEqualsRunOnce)
 {
     // Per-run counter deltas: a reused processor's second run must
     // match a fresh processor's first run exactly — caches, FU busy
-    // calendars, and StatGroup all reset between runs.
+    // calendars, and counters all reset between runs.
     const Program p = asmProgram(R"(
         _start:
             li a0, 0
