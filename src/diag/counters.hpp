@@ -35,12 +35,14 @@ namespace diag::core
     X(fault_parity_detections) X(fault_lockstep_detections)             \
     X(fault_recoveries) X(clusters_disabled)
 
+/** DiAG activity: the energy model's per-component events and the
+ *  stall counters. */
 DIAG_COUNTER_SET(DiagCounter, DIAG_CORE_COUNTERS)
+
+#define DIAG_REGION_COUNTERS(X) X(entries) X(threads) X(cycles)
 
 /** One simt region's pipeline launches, threads launched, and
  *  launch-to-resume cycles of the launches that completed. */
-#define DIAG_REGION_COUNTERS(X) X(entries) X(threads) X(cycles)
-
 DIAG_COUNTER_SET(RegionCounter, DIAG_REGION_COUNTERS)
 
 /** Every counter of one DiagProcessor. */

@@ -4,10 +4,11 @@
  * log2-bucketed histograms with byte-stable key-sorted JSON dumps
  * matching the StatGroup::dumpJson contract.
  *
- * Concurrency contract mirrors StatGroup (DESIGN.md §10): a
- * MetricRegistry is deliberately unsynchronized and must stay confined
- * to the host worker that owns it; cross-worker aggregation happens
- * after the owning tasks complete via merge(), in task-index order.
+ * Concurrency contract mirrors the engines' counter sets (DESIGN.md
+ * §10): a MetricRegistry is deliberately unsynchronized and must stay
+ * confined to the host worker that owns it; cross-worker aggregation
+ * happens after the owning tasks complete via merge(), in task-index
+ * order.
  * Every merge operation is commutative and associative (counters and
  * histogram buckets sum, gauges take the max), so a merged snapshot is
  * byte-identical for any --jobs N.

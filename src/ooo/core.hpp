@@ -38,6 +38,7 @@ namespace diag::ooo
     X(fu_int) X(fu_mul) X(fu_div) X(fu_fpu)                             \
     X(bp_lookups) X(btb_lookups) X(ras_lookups) X(mispredicts)
 
+/** Out-of-order core activity, per pipeline structure. */
 DIAG_COUNTER_SET(OooCounter, DIAG_OOO_COUNTERS)
 
 /** The baseline's counters: one set per OooProcessor, shared by its

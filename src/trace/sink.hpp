@@ -6,7 +6,7 @@
  * wraps the oldest events are dropped (counted, so exporters can say
  * so) rather than stalling the simulation.
  *
- * Concurrency contract: sinks follow the StatGroup confinement rule
+ * Concurrency contract: sinks follow the counter-set confinement rule
  * (DESIGN.md §10) — a sink is unsynchronized and must stay confined to
  * the host worker that owns its simulator instance. Parallel drivers
  * give every worker its own tracer + sink and serialize after the
