@@ -10,8 +10,8 @@
  * assert counter-level cycle equality with tracing on vs off).
  *
  * Concurrency contract: a Tracer is unsynchronized, like the counter
- * sets it observes alongside; it must stay confined to the host worker
- * that owns its simulator instance (DESIGN.md §10, §11). Parallel drivers
+ * sets it observes alongside; it must stay confined to the host worker that
+ * owns its simulator instance (DESIGN.md §10, §11). Parallel drivers
  * create one tracer per run, inside the owning task.
  */
 #ifndef DIAG_TRACE_TRACER_HPP
