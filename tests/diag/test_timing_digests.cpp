@@ -1,23 +1,26 @@
 /**
  * @file
- * Timing digests of the DiAG activation path (DESIGN.md §15). Each
- * case runs one fixed input — a bundled workload (F4C32 serial and
- * simt, F4C2 serial, and the ablation benches' no-reuse, no-memory-
- * lane and stride-prefetch cells), a seeded fuzz program, a
- * handwritten loop kernel, or the nn workload under the tracer, the
- * address recorder or a fault campaign — and compares a one-line digest
- * (cycles, instructions and FNV-1a hashes of the counter dump, the
- * final architectural state or the rendered bytes) against
- * tests/golden/timing_digests.json.
+ * Timing digests of both engines (DESIGN.md §15). Each case runs one
+ * fixed input — a bundled workload (F4C32 serial and simt, F4C2
+ * serial, the ablation benches' no-reuse, no-memory-lane and
+ * stride-prefetch cells, and the figure cells no other golden pins),
+ * a seeded fuzz program, a handwritten loop kernel, or the nn
+ * workload under the tracer, the address recorder or a fault campaign
+ * — and compares a one-line digest (cycles, instructions and FNV-1a
+ * hashes of the counter dump, the final architectural state or the
+ * rendered bytes) against tests/golden/timing_digests.json.
  *
  * The SkipIdle* rows were recorded while the dense per-PE stepping
  * path and the skip-idle fast paths still ran side by side and agreed
  * bit for bit on every one of these inputs, so a passing case means
  * today's single path still reproduces the dense reference exactly.
  * The AblationDigests rows pin the counters of configurations no
- * other golden runs. After an intended model change, regenerate with
- * tools/update_goldens.sh (which runs every case in this file with
- * DIAG_UPDATE_DIGESTS=1).
+ * other golden runs, and the FigureCellDigests rows pin the Fig
+ * 9a/9b/10a/10b/12 cells that neither stats_goldens nor the rows above
+ * run: F4C16 serial, DiAG 16x2 with 16 threads, DiAG 8x4 simt with 8
+ * threads and the 12-core OoO baseline with 12 threads. After an
+ * intended model change, regenerate with tools/update_goldens.sh
+ * (which runs every case in this file with DIAG_UPDATE_DIGESTS=1).
  */
 #include <gtest/gtest.h>
 
@@ -146,6 +149,18 @@ stateDigest(const sim::RunStats &rs, u64 state)
 namespace
 {
 
+/** Compare @p run, which must pass its output check, against the
+ *  `<tag>/<name>` entry. */
+void
+runDigest(const std::string &tag, const workloads::Workload &w,
+          const harness::EngineRun &run)
+{
+    EXPECT_TRUE(run.checked) << tag << "/" << w.name;
+    checkDigest(tag + "/" + w.name, "{" + runFields(run.stats) +
+                                        ", \"stop\": \"" +
+                                        hex(stopHash(run.stats)) + "\"}");
+}
+
 /** Run @p w on @p cfg; compare against the `<tag>/<name>` entry. */
 void
 workloadOne(const std::string &tag, const workloads::Workload &w,
@@ -153,11 +168,7 @@ workloadOne(const std::string &tag, const workloads::Workload &w,
 {
     harness::RunSpec spec;
     spec.use_simt = use_simt;
-    const harness::EngineRun run = harness::runOnDiag(cfg, w, spec);
-    EXPECT_TRUE(run.checked) << tag << "/" << w.name;
-    checkDigest(tag + "/" + w.name, "{" + runFields(run.stats) +
-                                        ", \"stop\": \"" +
-                                        hex(stopHash(run.stats)) + "\"}");
+    runDigest(tag, w, harness::runOnDiag(cfg, w, spec));
 }
 
 } // namespace
@@ -215,6 +226,60 @@ TEST(AblationDigests, StridePrefetch)
                              "bfs", "xz", "kmeans"})
         workloadOne("ablation-prefetch", workloads::findWorkload(name),
                     cfg, false);
+}
+
+// --- Figure cells: the Fig 9/10/12 cells no other golden runs. -----
+
+namespace
+{
+
+/** Both suites, Rodinia first: every workload the figures run. */
+std::vector<workloads::Workload>
+figureWorkloads()
+{
+    std::vector<workloads::Workload> all = workloads::rodiniaSuite();
+    for (workloads::Workload &w : workloads::specSuite())
+        all.push_back(std::move(w));
+    return all;
+}
+
+} // namespace
+
+TEST(FigureCellDigests, F4C16Serial)
+{
+    // Fig 9a/10a's 256-PE column.
+    for (const workloads::Workload &w : figureWorkloads())
+        workloadOne("fig-f4c16", w, DiagConfig::f4c16(), false);
+}
+
+TEST(FigureCellDigests, DiagMultiThread)
+{
+    // Fig 9b/10b/12's MT column: 16 threads on 16x2 rings.
+    for (const workloads::Workload &w : figureWorkloads())
+        runDigest("fig-diag-mt16", w,
+                  harness::runOnDiag(harness::diagMultiThreadConfig(), w,
+                                     {harness::kDiagMtThreads, false}));
+}
+
+TEST(FigureCellDigests, DiagMtSimt)
+{
+    // Fig 9b/10b/12's MT+SIMT column: 8 threads on 8x4 rings, simt
+    // workloads only.
+    for (const workloads::Workload &w : figureWorkloads())
+        if (!w.asm_simt.empty())
+            runDigest("fig-diag-mtsimt8", w,
+                      harness::runOnDiag(harness::diagMtSimtConfig(), w,
+                                         {harness::kDiagMtSimtThreads,
+                                          true}));
+}
+
+TEST(FigureCellDigests, OooMulticore12)
+{
+    // Fig 9b/10b/12's baseline: 12 threads on the 12-core OoO chip.
+    for (const workloads::Workload &w : figureWorkloads())
+        runDigest("fig-ooo-mc12", w,
+                  harness::runOnOoo(ooo::OooConfig::multicore12(), w,
+                                    {harness::kOooMtThreads, false}));
 }
 
 // --- Fuzz corpus: seeded random programs, all generator modes. -----

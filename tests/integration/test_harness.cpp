@@ -1,5 +1,6 @@
 /** Harness utility tests: table rendering, geomean, config presets,
- *  and the verbose trace facility. */
+ *  host cancellation on both engines, and the verbose trace
+ *  facility. */
 #include <gtest/gtest.h>
 
 #include "asm/assembler.hpp"
@@ -7,6 +8,7 @@
 #include "diag/processor.hpp"
 #include "harness/runner.hpp"
 #include "harness/table.hpp"
+#include "host/cancel.hpp"
 
 using namespace diag;
 using namespace diag::harness;
@@ -60,6 +62,28 @@ TEST(Harness, NonPartitionableWorkloadRunsOneThread)
         runOnDiag(diagMultiThreadConfig(), lud, {16, false});
     EXPECT_TRUE(run.checked);
     EXPECT_EQ(run.stats.counters.get("threads"), 1.0);
+}
+
+TEST(Harness, ExpiredTokenStopsBothEngines)
+{
+    // A token whose deadline has passed stops either engine before its
+    // first instruction; with failures tolerated the stop comes back
+    // as a structured timeout instead of a fatal().
+    const workloads::Workload nn = workloads::findWorkload("nn");
+    const host::CancelToken expired = host::CancelToken::expiredToken();
+    RunSpec spec;
+    spec.tolerate_failures = true;
+    spec.cancel = &expired;
+    for (const EngineRun &run :
+         {runOnDiag(core::DiagConfig::f4c16(), nn, spec),
+          runOnOoo(ooo::OooConfig::baseline8(), nn, spec)}) {
+        EXPECT_TRUE(run.stats.timed_out);
+        EXPECT_FALSE(run.stats.halted);
+        EXPECT_EQ(run.stats.instructions, 0u);
+        EXPECT_FALSE(run.checked);
+        EXPECT_EQ(run.stats.stop_reason,
+                  "thread 0: host watchdog: host deadline exceeded");
+    }
 }
 
 TEST(Harness, VerboseTraceEmitsActivations)

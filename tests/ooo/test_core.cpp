@@ -325,3 +325,33 @@ TEST(OooCore, RunTwiceEqualsRunOnce)
     EXPECT_EQ(r2.instructions, first.instructions);
     EXPECT_EQ(countersJson(r2), countersJson(first));
 }
+
+TEST(OooCore, RerunAfterWarmCachesStaysWarm)
+{
+    // loadProgram + warmCaches + two runs: the second run re-warms to
+    // the same post-warm state, so both runs are identical, and both
+    // beat a cold run of the same program.
+    const Program p = asmProgram(R"(
+        _start:
+            li a0, 0
+            li a1, 32
+            li a2, 0
+        loop:
+            slli t0, a0, 2
+            lw t1, 0x400(t0)
+            add a2, a2, t1
+            addi a0, a0, 1
+            bne a0, a1, loop
+            ebreak
+    )");
+    OooProcessor cold(OooConfig::baseline8());
+    const sim::RunStats rc = cold.run(p);
+    OooProcessor proc(OooConfig::baseline8());
+    proc.loadProgram(p);
+    proc.warmCaches();
+    const sim::RunStats r1 = proc.run(p);
+    const sim::RunStats r2 = proc.run(p);
+    EXPECT_LT(r1.cycles, rc.cycles);
+    EXPECT_EQ(r2.cycles, r1.cycles);
+    EXPECT_EQ(countersJson(r2), countersJson(r1));
+}

@@ -18,10 +18,13 @@
 #                                cells (no reuse on every Rodinia
 #                                workload, no memory lanes and stride
 #                                prefetch on the workloads their benches
-#                                list), the fuzz corpus, the loop and
-#                                simt-fallback kernels and the nn
-#                                trace/address-log/fault-campaign runs
-#                                (every case in
+#                                list), the figure cells no other golden
+#                                runs (F4C16 serial, DiAG 16x2 with 16
+#                                threads, DiAG 8x4 simt with 8 threads,
+#                                OoO 12 cores with 12 threads), the fuzz
+#                                corpus, the loop and simt-fallback
+#                                kernels and the nn trace/address-log/
+#                                fault-campaign runs (every case in
 #                                tests/diag/test_timing_digests.cpp).
 # Rerun this after any intentional change to the analyzers, the engine
 # models or the workloads, then commit the diff.
