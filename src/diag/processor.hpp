@@ -7,66 +7,27 @@
 #ifndef DIAG_DIAG_PROCESSOR_HPP
 #define DIAG_DIAG_PROCESSOR_HPP
 
-#include <memory>
 #include <vector>
 
-#include "asm/program.hpp"
 #include "diag/ring.hpp"
-#include "sim/run_stats.hpp"
+#include "sim/processor.hpp"
 
 namespace diag::core
 {
 
 /** Initial state for one software thread. */
-struct ThreadSpec
-{
-    Addr entry = 0;
-    /** (unified register, value) pairs applied before start. */
-    std::vector<std::pair<isa::RegId, u32>> init_regs;
-};
+using ThreadSpec = sim::ThreadSpec;
 
-/** A complete DiAG processor instance. */
-class DiagProcessor
+/**
+ * A complete DiAG processor instance: the engine shell
+ * (sim::Processor) over one Ring per configured ring, plus what only
+ * DiAG has — the shared bus, the fault, trace and address hooks, and
+ * strict lint/verify before every run.
+ */
+class DiagProcessor : public sim::Processor<Ring>
 {
   public:
     explicit DiagProcessor(DiagConfig cfg);
-
-    /** The functional memory image (set inputs before run()). */
-    SparseMemory &memory() { return mem_; }
-
-    /**
-     * Load the program image now, so callers can initialize input data
-     * on top of it before run()/runThreads() (which otherwise load the
-     * image themselves and would overwrite such data with .space zeros).
-     * Records the program's fingerprint: a later run() with a
-     * *different* Program reloads memory from scratch instead of
-     * silently executing the stale image.
-     */
-    void
-    loadProgram(const Program &prog)
-    {
-        prog.loadInto(mem_);
-        program_loaded_ = true;
-        program_hash_ = prog.fingerprint();
-    }
-
-    /**
-     * Pre-install every resident line of the memory image into the
-     * shared L2 (steady-state warmup, as in the paper's methodology of
-     * measuring kernels rather than cold starts). Call after
-     * loadProgram() and input initialization.
-     */
-    void
-    warmCaches()
-    {
-        mem_.forEachPage([&](Addr base) {
-            for (Addr off = 0; off < SparseMemory::kPageSize; off += 64)
-                mh_.warmLine(base + off);
-        });
-        warmed_ = true;
-    }
-
-    const DiagConfig &config() const { return cfg_; }
 
     /**
      * Attach (or detach with nullptr) a fault controller for the next
@@ -96,66 +57,24 @@ class DiagProcessor
      */
     void attachAddrTrace(trace::AddrTrace *t);
 
-    /**
-     * Attach (or detach with nullptr) a cooperative cancellation
-     * token (host::CancelToken): every ring polls it at activation
-     * boundaries and a fired token stops the run with a structured
-     * timeout (stop_reason "host watchdog: ..."). The caller keeps
-     * ownership; the token must outlive the run.
-     */
-    void attachCancel(const host::CancelToken *t);
-
-    /**
-     * Run @p prog single-threaded on ring 0. Loads the program image
-     * into memory first.
-     */
-    sim::RunStats run(const Program &prog,
-                      u64 max_insts = 500'000'000);
-
-    /**
-     * Run one thread per spec; thread t executes on ring t % rings.
-     * Total cycles = latest finish across threads. Threads must touch
-     * disjoint writable data (the paper's parallelizable workloads).
-     */
-    sim::RunStats runThreads(const Program &prog,
-                             const std::vector<ThreadSpec> &threads,
-                             u64 max_insts = 500'000'000);
-
-    /** Architectural register value of thread @p t after a run. */
-    u32 finalReg(unsigned thread, isa::RegId reg) const;
-
   private:
-    /**
-     * Per-run setup: load (or reload, if @p prog differs from the
-     * loaded one) the program, and — on every run after the first —
-     * reset rings, bus, hierarchy, and counters so each run() reports
-     * per-run deltas from the same post-load, post-warm initial state
-     * instead of folding in the previous run's counters and cache
-     * contents. The first run is left untouched so a freshly
-     * constructed processor behaves exactly as before.
-     */
-    void beginRun(const Program &prog);
+    /** Strict lint (cfg.lint_enabled) and verification
+     *  (cfg.verify_enabled): fatal() on error-level findings or when
+     *  diag-verify refutes a safety property or proves a race. Also
+     *  refuses golden-lockstep checking on more than one thread. */
+    void checkRun(const Program &prog,
+                  const std::vector<ThreadSpec> &threads) override;
 
-    /** Strict-mode static lint: fatal() on error-level findings. */
-    void lintStrict(const Program &prog,
-                    const std::vector<ThreadSpec> &threads) const;
+    void resetShared() override { bus_.reset(); }
 
-    /** Strict-mode verification (cfg.verify_enabled): fatal() when
-     *  diag-verify refutes a safety property or proves a race. */
-    void verifyStrict(const Program &prog,
-                      const std::vector<ThreadSpec> &threads) const;
+    /** The per-thread trace event. */
+    void onThread(unsigned ring, unsigned thread, const ThreadSpec &spec,
+                  Cycle launch, const sim::ThreadResult &tr) override;
 
-    DiagConfig cfg_;
-    SparseMemory mem_;
-    mem::MemHierarchy mh_;
+    /** The always-present bus_transfers and bus_wait_cycles keys. */
+    void emitShared(StatGroup &out) const override;
+
     mem::Bus bus_;
-    DiagCounters counters_;
-    std::vector<std::unique_ptr<Ring>> rings_;
-    std::vector<ThreadResult> results_;
-    bool program_loaded_ = false;
-    bool warmed_ = false;  //!< warmCaches() called (re-warm each run)
-    bool ran_ = false;     //!< a run completed (reset before the next)
-    u64 program_hash_ = 0; //!< fingerprint of the loaded program
     fault::FaultController *faults_ = nullptr;
     trace::Tracer *trc_ = nullptr;  //!< null = tracing off
 };

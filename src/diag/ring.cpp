@@ -213,7 +213,8 @@ struct Ring::ThreadState
         res.retired = retired;
         res.stop_pc = where;
         res.stop_reason = std::move(reason);
-        res.final_regs = regs;
+        for (unsigned r = 0; r < kNumRegs; ++r)
+            res.regs[r] = regs[r].value;
     }
 
     LaneFile regs;
@@ -229,14 +230,17 @@ struct Ring::ThreadState
     fault::Watchdog wd;
     fault::ThreadCheckpoint ckpt;
     u64 activations = 0;  //!< boundaries seen (cancellation polling)
-    ThreadResult res;
+    sim::ThreadResult res;
 };
 
-ThreadResult
-Ring::runThread(Addr entry, const LaneFile &init_regs, SparseMemory &mem,
-                Cycle start_cycle, u64 max_insts)
+sim::ThreadResult
+Ring::runThread(Addr entry, const sim::InitRegs &init_regs,
+                SparseMemory &mem, Cycle start_cycle, u64 max_insts)
 {
-    ThreadState t(entry, init_regs, mem, start_cycle, cfg_);
+    LaneFile lanes{};
+    for (const auto &[reg, value] : init_regs)
+        lanes[reg].value = value;
+    ThreadState t(entry, lanes, mem, start_cycle, cfg_);
     if (faults_ && faults_->parityEnabled())
         refreshParity(t.regs);
     while (t.retired < max_insts) {

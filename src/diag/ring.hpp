@@ -13,44 +13,34 @@
 #include <unordered_map>
 #include <vector>
 
-#include <string>
-
 #include "diag/activation.hpp"
 #include "host/cancel.hpp"
 #include "mem/bus.hpp"
+#include "sim/run_stats.hpp"
 
 namespace diag::core
 {
 
-/** Result of running one software thread to completion on a ring. */
-struct ThreadResult
-{
-    Cycle finish = 0;      //!< cycle the thread halted
-    u64 retired = 0;       //!< instructions committed
-    bool halted = false;   //!< reached EBREAK/ECALL
-    bool faulted = false;  //!< invalid encoding or misaligned PC
-    bool timed_out = false; //!< watchdog / cycle or inst budget
-    bool aborted = false;  //!< detected fault, recovery exhausted
-    Addr stop_pc = 0;      //!< PC of the halting instruction
-    std::string stop_reason; //!< one-line reason when not halted
-    LaneFile final_regs{}; //!< architectural registers at halt
-};
-
-/** One dataflow ring and its control unit. */
+/** One dataflow ring and its control unit: the DiAG processor's
+ *  per-thread unit (sim::Processor). */
 class Ring
 {
   public:
+    using Config = DiagConfig;
+    using Counters = DiagCounters;
+
     Ring(const DiagConfig &cfg, unsigned index, mem::MemHierarchy &mh,
          mem::Bus &bus, DiagCounters &counters);
 
     /**
-     * Run a thread starting at @p entry with initial lane state
-     * @p init_regs against memory @p mem. @p start_cycle is the cycle
-     * the thread becomes runnable (MT launch skew).
+     * Run a thread starting at @p entry with the (register, value)
+     * pairs @p init_regs in its lanes against memory @p mem.
+     * @p start_cycle is the cycle the thread becomes runnable (MT
+     * launch skew).
      */
-    ThreadResult runThread(Addr entry, const LaneFile &init_regs,
-                           SparseMemory &mem, Cycle start_cycle,
-                           u64 max_insts);
+    sim::ThreadResult runThread(Addr entry, const sim::InitRegs &init_regs,
+                                SparseMemory &mem, Cycle start_cycle,
+                                u64 max_insts);
 
     void reset();
 

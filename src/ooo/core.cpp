@@ -50,21 +50,17 @@ OooCore::poolFor(ExecClass cls)
     }
 }
 
-CoreResult
-OooCore::runThread(Addr entry,
-                   const std::vector<std::pair<RegId, u32>> &init_regs,
+sim::ThreadResult
+OooCore::runThread(Addr entry, const sim::InitRegs &init_regs,
                    SparseMemory &mem, Cycle start_cycle, u64 max_insts)
 {
-    CoreResult res;
+    sim::ThreadResult res;
     u32 regs[kNumRegs] = {};
     Cycle reg_ready[kNumRegs] = {};
     for (auto &r : reg_ready)
         r = start_cycle;
-    for (const auto &[reg, value] : init_regs) {
-        panic_if(reg == 0 || reg >= kNumRegs, "bad init register %u",
-                 reg);
+    for (const auto &[reg, value] : init_regs)
         regs[reg] = value;
-    }
 
     sim::StoreTracker tracker(mem, cfg_.store_buffer_entries);
     GsharePredictor gshare(cfg_.gshare_entries, cfg_.gshare_history);

@@ -11,7 +11,6 @@
 #ifndef DIAG_OOO_CORE_HPP
 #define DIAG_OOO_CORE_HPP
 
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -23,6 +22,7 @@
 #include "ooo/config.hpp"
 #include "ooo/predictor.hpp"
 #include "sim/mem_order.hpp"
+#include "sim/run_stats.hpp"
 
 namespace diag::ooo
 {
@@ -45,32 +45,21 @@ DIAG_COUNTER_SET(OooCounter, DIAG_OOO_COUNTERS)
  *  cores. */
 using OooCounters = CounterSet<OooCounter>;
 
-/** Outcome of running one software thread on a core. */
-struct CoreResult
-{
-    Cycle finish = 0;
-    u64 retired = 0;
-    bool halted = false;
-    bool faulted = false;
-    bool timed_out = false;  //!< cycle ceiling or instruction budget
-    Addr stop_pc = 0;
-    std::string stop_reason; //!< one-line reason when not halted
-    u32 regs[isa::kNumRegs] = {};
-};
-
-/** One 8-issue out-of-order core. */
+/** One 8-issue out-of-order core: the baseline processor's
+ *  per-thread unit (sim::Processor). */
 class OooCore
 {
   public:
+    using Config = OooConfig;
+    using Counters = OooCounters;
+
     OooCore(const OooConfig &cfg, unsigned core_id,
             mem::MemHierarchy &mh, OooCounters &counters);
 
     /** Run a thread to EBREAK (or the instruction budget). */
-    CoreResult runThread(Addr entry,
-                         const std::vector<std::pair<isa::RegId, u32>>
-                             &init_regs,
-                         SparseMemory &mem, Cycle start_cycle,
-                         u64 max_insts);
+    sim::ThreadResult runThread(Addr entry, const sim::InitRegs &init_regs,
+                                SparseMemory &mem, Cycle start_cycle,
+                                u64 max_insts);
 
     /** Attach (or detach with nullptr) a cooperative cancellation
      *  token polled every 64 instructions; a fired token stops the

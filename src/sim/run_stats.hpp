@@ -2,15 +2,19 @@
  * @file
  * Engine-agnostic run statistics returned by both the DiAG model and
  * the out-of-order baseline; consumed by the harness and energy model.
+ * Also the per-thread launch spec and result both engines share.
  */
 #ifndef DIAG_SIM_RUN_STATS_HPP
 #define DIAG_SIM_RUN_STATS_HPP
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/log.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "isa/opcodes.hpp"
 
 namespace diag::sim
 {
@@ -27,6 +31,31 @@ simtRegionKey(Addr simt_s_pc, const char *field)
 {
     return detail::vformat("simt_region_%08x_%s", simt_s_pc, field);
 }
+
+/** (unified register, value) pairs a thread starts with. */
+using InitRegs = std::vector<std::pair<isa::RegId, u32>>;
+
+/** Initial state for one software thread. */
+struct ThreadSpec
+{
+    Addr entry = 0;
+    InitRegs init_regs;  //!< applied before start
+};
+
+/** Result of running one software thread to completion on a unit (a
+ *  DiAG ring or an OoO core). */
+struct ThreadResult
+{
+    Cycle finish = 0;       //!< cycle the thread stopped
+    u64 retired = 0;        //!< instructions committed
+    bool halted = false;    //!< reached EBREAK/ECALL
+    bool faulted = false;   //!< invalid encoding or misaligned PC
+    bool timed_out = false; //!< watchdog / cycle or inst budget
+    bool aborted = false;   //!< detected fault, recovery exhausted
+    Addr stop_pc = 0;       //!< PC of the halting instruction
+    std::string stop_reason; //!< one-line reason when not halted
+    u32 regs[isa::kNumRegs] = {}; //!< architectural registers at stop
+};
 
 /** Result of running a workload on a timing model. */
 struct RunStats
