@@ -29,30 +29,20 @@ main(int argc, char **argv)
         first_cell[i] = cells.size();
         cells.push_back({.w = &w,
                          .spec = {1, false},
-                         .on_diag = false,
-                         .diag_cfg = {},
-                         .ooo_cfg = ooo::OooConfig::baseline8()});
+                         .cfg = ooo::OooConfig::baseline8()});
         cells.push_back({.w = &w,
                          .spec = {1, false},
-                         .on_diag = true,
-                         .diag_cfg = core::DiagConfig::f4c32(),
-                         .ooo_cfg = {}});
+                         .cfg = core::DiagConfig::f4c32()});
         cells.push_back({.w = &w,
                          .spec = {kOooMtThreads, false},
-                         .on_diag = false,
-                         .diag_cfg = {},
-                         .ooo_cfg = ooo::OooConfig::multicore12()});
+                         .cfg = ooo::OooConfig::multicore12()});
         cells.push_back({.w = &w,
                          .spec = {kDiagMtThreads, false},
-                         .on_diag = true,
-                         .diag_cfg = diagMultiThreadConfig(),
-                         .ooo_cfg = {}});
+                         .cfg = diagMultiThreadConfig()});
         if (!w.asm_simt.empty())
             cells.push_back({.w = &w,
                              .spec = {kDiagMtSimtThreads, true},
-                             .on_diag = true,
-                             .diag_cfg = diagMtSimtConfig(),
-                             .ooo_cfg = {}});
+                             .cfg = diagMtSimtConfig()});
     }
     const std::vector<EngineRun> runs = runMatrix(cells, jobs);
 

@@ -76,15 +76,11 @@ relPerfSingleThread(const std::string &title,
     for (const auto &w : suite) {
         cells.push_back({.w = &w,
                          .spec = {1, false},
-                         .on_diag = false,
-                         .diag_cfg = {},
-                         .ooo_cfg = ooo::OooConfig::baseline8()});
+                         .cfg = ooo::OooConfig::baseline8()});
         for (const auto &cfg : cfgs)
             cells.push_back({.w = &w,
                              .spec = {1, false},
-                             .on_diag = true,
-                             .diag_cfg = cfg,
-                             .ooo_cfg = {}});
+                             .cfg = cfg});
         bounds.push_back({.cfg = cfgs.back(), .w = &w,
                           .use_simt = false});
     }
@@ -143,20 +139,14 @@ relPerfMultiThread(const std::string &title,
         first_cell[i] = cells.size();
         cells.push_back({.w = &w,
                          .spec = {harness::kOooMtThreads, false},
-                         .on_diag = false,
-                         .diag_cfg = {},
-                         .ooo_cfg = ooo::OooConfig::multicore12()});
+                         .cfg = ooo::OooConfig::multicore12()});
         cells.push_back({.w = &w,
                          .spec = {harness::kDiagMtThreads, false},
-                         .on_diag = true,
-                         .diag_cfg = harness::diagMultiThreadConfig(),
-                         .ooo_cfg = {}});
+                         .cfg = harness::diagMultiThreadConfig()});
         if (!w.asm_simt.empty()) {
             cells.push_back({.w = &w,
                              .spec = {harness::kDiagMtSimtThreads, true},
-                             .on_diag = true,
-                             .diag_cfg = harness::diagMtSimtConfig(),
-                             .ooo_cfg = {}});
+                             .cfg = harness::diagMtSimtConfig()});
             bound_of[i] = static_cast<int>(bounds.size());
             bounds.push_back({.cfg = harness::diagMtSimtConfig(),
                               .w = &w,

@@ -9,6 +9,7 @@
 
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "diag/config.hpp"
@@ -69,13 +70,31 @@ struct EngineRun
     std::shared_ptr<trace::AddrTrace> addrs;
 };
 
+/**
+ * Run @p w on the engine @p cfg configures: DiAG for a
+ * core::DiagConfig, the OoO baseline for an ooo::OooConfig. Every run
+ * takes the same steps: assemble, lint, construct, load, init inputs,
+ * warm, run, check the output, energy.
+ */
+template <class Cfg>
+EngineRun runOn(const Cfg &cfg, const workloads::Workload &w,
+                const RunSpec &spec);
+
 /** Run @p w on a DiAG configuration. */
-EngineRun runOnDiag(const core::DiagConfig &cfg,
-                    const workloads::Workload &w, const RunSpec &spec);
+inline EngineRun
+runOnDiag(const core::DiagConfig &cfg, const workloads::Workload &w,
+          const RunSpec &spec)
+{
+    return runOn(cfg, w, spec);
+}
 
 /** Run @p w on the OoO baseline. */
-EngineRun runOnOoo(const ooo::OooConfig &cfg,
-                   const workloads::Workload &w, const RunSpec &spec);
+inline EngineRun
+runOnOoo(const ooo::OooConfig &cfg, const workloads::Workload &w,
+         const RunSpec &spec)
+{
+    return runOn(cfg, w, spec);
+}
 
 /**
  * One cell of a host-parallel execution matrix: a (workload, engine
@@ -86,9 +105,8 @@ struct MatrixCell
 {
     const workloads::Workload *w = nullptr;
     RunSpec spec;
-    bool on_diag = true;        //!< false = OoO baseline
-    core::DiagConfig diag_cfg;  //!< engine config when on_diag
-    ooo::OooConfig ooo_cfg;     //!< engine config when !on_diag
+    /** The engine to run on: DiAG or the OoO baseline. */
+    std::variant<core::DiagConfig, ooo::OooConfig> cfg;
 };
 
 /**

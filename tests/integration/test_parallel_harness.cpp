@@ -18,14 +18,10 @@ TEST(ParallelHarness, RunMatrixMatchesSerial)
     for (const workloads::Workload *w : {&lud, &bfs}) {
         cells.push_back({.w = w,
                          .spec = {1, false},
-                         .on_diag = false,
-                         .diag_cfg = {},
-                         .ooo_cfg = ooo::OooConfig::baseline8()});
+                         .cfg = ooo::OooConfig::baseline8()});
         cells.push_back({.w = w,
                          .spec = {1, false},
-                         .on_diag = true,
-                         .diag_cfg = core::DiagConfig::f4c16(),
-                         .ooo_cfg = {}});
+                         .cfg = core::DiagConfig::f4c16()});
     }
     const std::vector<EngineRun> serial = runMatrix(cells, 1);
     const std::vector<EngineRun> par = runMatrix(cells, 4);

@@ -106,7 +106,7 @@ TEST(TraceDeterminism, JobsOneAndManyProduceIdenticalTraces)
         c.w = w;
         c.spec.use_simt = !w->asm_simt.empty();
         c.spec.trace = &tc;
-        c.diag_cfg = core::DiagConfig::f4c32();
+        c.cfg = core::DiagConfig::f4c32();
         cells.push_back(c);
     }
     const auto serial = harness::runMatrix(cells, 1);
