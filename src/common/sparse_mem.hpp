@@ -136,8 +136,30 @@ class SparseMemory
     /** Drop all contents. */
     void clear() { pages_.clear(); }
 
+    /** Every address reads the same in both images (an absent page
+     *  reads as zero, so it equals an all-zero one). */
+    bool
+    sameContents(const SparseMemory &other) const
+    {
+        return pagesMatch(other) && other.pagesMatch(*this);
+    }
+
   private:
     using Page = std::array<u8, kPageSize>;
+
+    /** Each of this image's pages equals @p other's bytes there. */
+    bool
+    pagesMatch(const SparseMemory &other) const
+    {
+        static const Page kZeroPage{};
+        for (const auto &[num, page] : pages_) {
+            const auto it = other.pages_.find(num);
+            if (*page != (it == other.pages_.end() ? kZeroPage
+                                                   : *it->second))
+                return false;
+        }
+        return true;
+    }
 
     const Page *
     findPage(Addr addr) const

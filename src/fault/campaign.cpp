@@ -18,24 +18,6 @@ namespace diag::fault
 namespace
 {
 
-/** Bytewise comparison over the union of both resident page sets. */
-bool
-memoryMatches(const SparseMemory &a, const SparseMemory &b)
-{
-    std::vector<Addr> pages;
-    a.forEachPage([&](Addr base) { pages.push_back(base); });
-    b.forEachPage([&](Addr base) { pages.push_back(base); });
-    std::sort(pages.begin(), pages.end());
-    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-    for (const Addr base : pages) {
-        for (Addr off = 0; off < SparseMemory::kPageSize; off += 4) {
-            if (a.read32(base + off) != b.read32(base + off))
-                return false;
-        }
-    }
-    return true;
-}
-
 /** Deterministic per-trial seed derivation (splitmix-style). */
 u64
 trialSeed(u64 campaign_seed, unsigned trial)
@@ -199,7 +181,7 @@ runTrial(const TrialContext &ctx, unsigned t)
 
     const u64 detections =
         tally.parity_detections + tally.lockstep_detections;
-    const bool mem_ok = memoryMatches(proc.memory(), ctx.ref_mem);
+    const bool mem_ok = proc.memory().sameContents(ctx.ref_mem);
     if (stats.timed_out) {
         rec.outcome = Outcome::Hang;
         // Substring, not prefix: multi-thread runs wrap the reason
@@ -294,7 +276,7 @@ runCampaign(const CampaignSpec &spec, bool verbose)
             proc.runThreads(prog, specs, w.max_insts);
         fatal_if(!base.halted, "fault-free DiAG run of %s did not halt",
                  w.name.c_str());
-        fatal_if(!memoryMatches(proc.memory(), ref_mem),
+        fatal_if(!proc.memory().sameContents(ref_mem),
                  "fault-free DiAG run of %s diverged from golden",
                  w.name.c_str());
         report.baseline_cycles = base.cycles;

@@ -1,7 +1,5 @@
 #include "harness/validate_verify.hpp"
 
-#include <algorithm>
-
 #include "asm/assembler.hpp"
 #include "common/log.hpp"
 #include "diag/processor.hpp"
@@ -20,19 +18,20 @@ namespace
 using analysis::PropertyKind;
 using analysis::Verdict;
 
-/** Byte-compare two sparse memories over the union of their pages. */
+/** @p rs halted and left @p proc's memory and registers (x1 up,
+ *  FP included) as the golden execution left @p gold's. */
+template <class Proc>
 bool
-memEqual(const SparseMemory &a, const SparseMemory &b)
+matchesGolden(const Proc &proc, const sim::RunStats &rs,
+              const sim::GoldenSim &gold)
 {
-    std::vector<Addr> pages;
-    a.forEachPage([&](Addr base) { pages.push_back(base); });
-    b.forEachPage([&](Addr base) { pages.push_back(base); });
-    std::sort(pages.begin(), pages.end());
-    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-    for (const Addr base : pages)
-        for (Addr off = 0; off < SparseMemory::kPageSize; off += 4)
-            if (a.read32(base + off) != b.read32(base + off))
-                return false;
+    if (!rs.halted || rs.timed_out ||
+        !proc.memory().sameContents(gold.memory()))
+        return false;
+    for (unsigned i = 1; i < isa::kNumRegs; ++i)
+        if (proc.finalReg(0, static_cast<isa::RegId>(i)) !=
+            gold.reg(static_cast<isa::RegId>(i)))
+            return false;
     return true;
 }
 
@@ -293,12 +292,7 @@ validateVerify(const core::DiagConfig &cfg, const sim::FuzzOptions &fo,
     // state against golden. Racy programs are timing-dependent by
     // design, and a non-halting golden has no final state.
     if (!fp.racy && c.golden_halted && diag_halted) {
-        bool match = memEqual(dproc.memory(), gold.memory());
-        for (unsigned i = 0; match && i < isa::kNumRegs; ++i)
-            match = dproc.finalReg(
-                        0, static_cast<isa::RegId>(i)) ==
-                    gold.reg(static_cast<isa::RegId>(i));
-        if (!match) {
+        if (!matchesGolden(dproc, drs, gold)) {
             c.engines_match = false;
             c.failures.push_back(
                 "ENGINE MISMATCH: DiAG architectural state differs "
@@ -314,13 +308,7 @@ validateVerify(const core::DiagConfig &cfg, const sim::FuzzOptions &fo,
             c.host_timed_out = true;
             return c;
         }
-        bool omatch = ors.halted && !ors.timed_out &&
-                      memEqual(oproc.memory(), gold.memory());
-        for (unsigned i = 0; omatch && i < isa::kNumRegs; ++i)
-            omatch = oproc.finalReg(
-                         0, static_cast<isa::RegId>(i)) ==
-                     gold.reg(static_cast<isa::RegId>(i));
-        if (!omatch) {
+        if (!matchesGolden(oproc, ors, gold)) {
             c.engines_match = false;
             c.failures.push_back(
                 "ENGINE MISMATCH: OoO architectural state differs "

@@ -103,3 +103,28 @@ TEST(SparseMemory, ForEachPageVisitsEveryResidentBase)
     EXPECT_EQ(bases[1], 0x5000u);
     EXPECT_EQ(bases[2], 0xa0000u);
 }
+
+TEST(SparseMemory, SameContentsTreatsAbsentPagesAsZero)
+{
+    SparseMemory a;
+    SparseMemory b;
+    a.write32(0x1000, 0);  // an all-zero page equals an absent one
+    EXPECT_TRUE(a.sameContents(b));
+    EXPECT_TRUE(b.sameContents(a));
+
+    a.write32(0x2000, 7);
+    b.write32(0x2000, 7);
+    b.write32(0x9000, 0);
+    EXPECT_TRUE(a.sameContents(b));
+
+    // One differing word in either image, on a shared page or on a
+    // page only that image has, makes the two unequal.
+    SparseMemory c = b;
+    c.write32(0x2004, 1);
+    EXPECT_FALSE(a.sameContents(c));
+    EXPECT_FALSE(c.sameContents(a));
+    SparseMemory d = a;
+    d.write32(0x5ffc, 1);
+    EXPECT_FALSE(d.sameContents(b));
+    EXPECT_FALSE(b.sameContents(d));
+}

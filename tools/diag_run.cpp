@@ -29,7 +29,6 @@
  *   1  usage or internal error     3  timeout (watchdog/budget)
  *   4  hardware trap or detected-unrecoverable abort
  */
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -190,22 +189,6 @@ classify(const sim::RunStats &rs, bool checked)
     return checked ? 0 : 2;
 }
 
-/** Byte-compare two sparse memories over the union of their pages. */
-bool
-memEqual(const SparseMemory &a, const SparseMemory &b)
-{
-    std::vector<Addr> pages;
-    a.forEachPage([&](Addr base) { pages.push_back(base); });
-    b.forEachPage([&](Addr base) { pages.push_back(base); });
-    std::sort(pages.begin(), pages.end());
-    pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-    for (const Addr base : pages)
-        for (Addr off = 0; off < SparseMemory::kPageSize; off += 4)
-            if (a.read32(base + off) != b.read32(base + off))
-                return false;
-    return true;
-}
-
 int
 runWorkload(const Options &opt)
 {
@@ -350,7 +333,7 @@ goldenDiff(const Program &prog, u64 max_insts,
             ok = false;
         }
     }
-    if (!memEqual(mem, gold.memory())) {
+    if (!mem.sameContents(gold.memory())) {
         out += "golden-diff: final memory image differs\n";
         ok = false;
     }
