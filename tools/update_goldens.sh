@@ -3,11 +3,13 @@
 #
 #   tools/update_goldens.sh [build-dir]
 #
-# Four snapshots, each compared byte-for-byte by a test:
+# Six snapshots, each compared byte-for-byte by a test:
 #   analysis_all_workloads.json  diag-bound JSON (lint findings + bound
 #                                model) for every bundled workload
 #                                (`analysis_goldens`);
 #   stream_all_workloads.json    diag-stream JSON (`stream_goldens`);
+#   lint_all_workloads.json      diag-lint JSON (`lint_goldens`);
+#   verify_all_workloads.json    diag-verify JSON (`verify_goldens`);
 #   stats_all_workloads.json     diag-run --stats-json engine counters
 #                                for every workload on the OoO baseline
 #                                (1 and 12 threads) and on DiAG (serial,
@@ -33,7 +35,7 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="$(cd "${1:-$repo/build}" && pwd)"
 
-for bin in "$build"/tools-bin/{diag-bound,diag-stream,diag-run} \
+for bin in "$build"/tools-bin/diag-{bound,stream,lint,verify,run} \
            "$build/tests/test_diag"; do
     if [[ ! -x "$bin" ]]; then
         echo "error: $bin not built (cmake --build $build)" >&2
@@ -41,13 +43,12 @@ for bin in "$build"/tools-bin/{diag-bound,diag-stream,diag-run} \
     fi
 done
 
-out="$repo/tests/golden/analysis_all_workloads.json"
-"$build/tools-bin/diag-bound" --all-workloads --json > "$out"
-echo "wrote $out ($(wc -c < "$out") bytes)"
-
-out="$repo/tests/golden/stream_all_workloads.json"
-"$build/tools-bin/diag-stream" --all-workloads --json > "$out"
-echo "wrote $out ($(wc -c < "$out") bytes)"
+for pair in analysis:diag-bound stream:diag-stream lint:diag-lint \
+            verify:diag-verify; do
+    out="$repo/tests/golden/${pair%%:*}_all_workloads.json"
+    "$build/tools-bin/${pair#*:}" --all-workloads --json > "$out"
+    echo "wrote $out ($(wc -c < "$out") bytes)"
+done
 
 out="$repo/tests/golden/stats_all_workloads.json"
 (cd "$build" && cmake -DTOOL="$build/tools-bin/diag-run" -DGOLDEN="$out" \
