@@ -4,10 +4,15 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "common/log.hpp"
+#include "harness/validate.hpp"
+#include "host/parallel.hpp"
 
 namespace diag::harness
 {
@@ -272,6 +277,106 @@ configWithRings(const std::string &name, unsigned rings)
     if (rings != 0)
         cfg.num_rings = rings;
     return cfg;
+}
+
+AnalyzerCli::AnalyzerCli(std::string tool, const std::string &verb)
+    : ap_(tool, "[program.s ...]"), tool_(std::move(tool)), verb_(verb)
+{
+    ap_.option("--workload", &workload_, "NAME",
+               verb + " a built-in benchmark kernel")
+        .flag("--all-workloads", &all_workloads_,
+              verb + " every bundled kernel")
+        .configFlag(&config_)
+        .option("--rings", &rings_, "N",
+                "override the preset's ring count")
+        .jsonFlag(&json_)
+        .sarifFlag(&sarif_);
+}
+
+std::optional<int>
+AnalyzerCli::parse(int argc, char **argv)
+{
+    ap_.werrorFlag(&werror_).operands(&files_);
+    switch (ap_.parse(argc, argv)) {
+      case ArgParser::Status::Run:
+        return std::nullopt;
+      case ArgParser::Status::Help:
+        return 0;
+      case ArgParser::Status::Usage:
+        break;
+    }
+    return 2;
+}
+
+core::DiagConfig
+AnalyzerCli::config() const
+{
+    return configWithRings(config_, rings_);
+}
+
+bool
+AnalyzerCli::failsBar(const analysis::LintResult &findings) const
+{
+    return findings.errors() > 0 ||
+           (werror_ && findings.warnings() > 0);
+}
+
+int
+AnalyzerCli::run(unsigned jobs, const UnitFn &fn) const
+{
+    if (!all_workloads_ && workload_.empty() && files_.empty()) {
+        ap_.usageError("nothing to %s (no workload or program file)",
+                       verb_.c_str());
+        return 2;
+    }
+
+    // Collect every unit first (cheap), then fan the analysis out
+    // over host workers.
+    const analysis::LintOptions lint = lintOptionsFor(config());
+    std::vector<workloads::Workload> suite;
+    if (all_workloads_) {
+        suite = workloads::rodiniaSuite();
+        for (workloads::Workload &w : workloads::specSuite())
+            suite.push_back(std::move(w));
+    } else if (!workload_.empty()) {
+        suite.push_back(workloads::findWorkload(workload_));
+    }
+    std::vector<Unit> units;
+    for (const workloads::Workload &w : suite) {
+        units.push_back({w.name + " (serial)", w.asm_serial, &w,
+                         /*simt=*/false, lint});
+        if (!w.asm_simt.empty())
+            units.push_back({w.name + " (simt)", w.asm_simt, &w,
+                             /*simt=*/true, lint});
+    }
+    for (const std::string &file : files_) {
+        std::ifstream in(file);
+        fatal_if(!in.good(), "cannot open '%s'", file.c_str());
+        std::stringstream ss;
+        ss << in.rdbuf();
+        units.push_back({file, ss.str(), nullptr, /*simt=*/false, lint});
+        units.back().lint.entry_defined = analysis::RegSet{};
+    }
+
+    std::vector<Outcome> outcomes = host::parallelMap<Outcome>(
+        jobs, units.size(), [&units, &fn](size_t i) {
+            return fn(units[i]);
+        });
+
+    std::vector<std::pair<std::string, analysis::LintResult>> sarif;
+    bool failed = false;
+    for (size_t i = 0; i < units.size(); ++i) {
+        Outcome &o = outcomes[i];
+        failed = failed || o.failed || failsBar(o.findings);
+        if (sarif_)
+            sarif.emplace_back(units[i].label, std::move(o.findings));
+        else
+            std::fputs(o.printed.c_str(), stdout);
+    }
+    if (sarif_)
+        std::printf("%s\n",
+                    analysis::renderSarif(sarif, tool_).c_str());
+    return failed ? 1 : 0;
 }
 
 } // namespace diag::harness

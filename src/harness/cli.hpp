@@ -9,15 +9,22 @@
  * fetching, numeric conversion, --help, unknown-flag diagnostics, and
  * the usage text — keeping the flag name, its help line, and its
  * target in one place.
+ *
+ * AnalyzerCli goes one step further for the four analyzers, which
+ * also share their inputs, their sweep and their exit status.
  */
 #ifndef DIAG_HARNESS_CLI_HPP
 #define DIAG_HARNESS_CLI_HPP
 
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "analysis/lint.hpp"
 #include "common/types.hpp"
 #include "diag/config.hpp"
+#include "workloads/workload.hpp"
 
 namespace diag::harness
 {
@@ -33,8 +40,9 @@ class ArgParser
         Help,   //!< --help: usage printed, exit 0
         /** Bad invocation — unknown flag, duplicate flag, missing or
          *  malformed value, unexpected operand. parse() already
-         *  printed a one-line "error: ..." plus the usage text;
-         *  every tool exits 1 on this status. */
+         *  printed a one-line "error: ..." plus the usage text. The
+         *  analyzers (AnalyzerCli) exit 2 on this status, every
+         *  other tool exits 1. */
         Usage,
     };
 
@@ -79,11 +87,11 @@ class ArgParser
      */
     Status parse(int argc, char **argv) const;
 
-  private:
     /** Print "tool: error: ..." + usage, and yield Status::Usage. */
     Status usageError(const char *fmt, ...) const
         __attribute__((format(printf, 2, 3)));
 
+  private:
     struct Flag
     {
         enum class Kind : u8
@@ -127,6 +135,92 @@ bool tryConfigByName(const std::string &name, core::DiagConfig *out);
 /** @p base with its ring count overridden when @p rings != 0. */
 core::DiagConfig configWithRings(const std::string &name,
                                  unsigned rings);
+
+/**
+ * The driver of the four analyzer CLIs (diag-lint, diag-bound,
+ * diag-stream, diag-verify). It owns what they share: the flags
+ * --workload, --all-workloads, --config, --rings, --json, --sarif and
+ * --werror plus the program-file operands, the unit list, the host
+ * sweep, printing in unit order, the one SARIF document and the exit
+ * status. A tool registers its own flags on parser() and hands run()
+ * one function that analyzes one unit.
+ *
+ * Units come in a fixed order: each workload's serial variant, then
+ * its simt variant (--all-workloads is Rodinia, then SPEC), then the
+ * program files, which get no ABI entry. Blocks print in that order,
+ * so output is byte-identical for any job count. Under --sarif the
+ * blocks are dropped and one SARIF document carries every unit's
+ * findings.
+ *
+ * Exit status: 0 when every unit is clean; 1 when a unit's findings
+ * fail the bar (an error, or a warning under --werror) or its
+ * function reports a failure (a failed validation, a refuted
+ * property); 2 on a usage mistake (unknown flag, bad value, no
+ * input). An unknown workload or preset name is fatal() (exit 1).
+ */
+class AnalyzerCli
+{
+  public:
+    /** One analysis unit: a workload variant or a program file. */
+    struct Unit
+    {
+        std::string label;  //!< "NAME (serial)", "NAME (simt)" or path
+        std::string source; //!< assembly text
+        const workloads::Workload *w = nullptr; //!< null for a file
+        bool simt = false;  //!< the simt variant of w
+        /** harness::lintOptionsFor(config()); a file's has no ABI
+         *  entry. */
+        analysis::LintOptions lint;
+    };
+
+    /** What one unit gives back. */
+    struct Outcome
+    {
+        std::string printed;           //!< its text or --json block
+        analysis::LintResult findings; //!< for the bar and SARIF
+        bool failed = false; //!< a failure the findings do not carry
+    };
+
+    using UnitFn = std::function<Outcome(const Unit &)>;
+
+    /** @p verb says what the tool does to a unit ("lint", "analyze",
+     *  "verify") in the help and no-input lines. */
+    AnalyzerCli(std::string tool, const std::string &verb);
+    AnalyzerCli(const AnalyzerCli &) = delete;
+    AnalyzerCli &operator=(const AnalyzerCli &) = delete;
+
+    /** For the tool's own flags; --werror and the operands follow
+     *  them in the usage text. */
+    ArgParser &parser() { return ap_; }
+
+    /** Parse argv: the exit status when main() should stop (0 after
+     *  --help, 2 on a usage mistake), nullopt to go on. */
+    std::optional<int> parse(int argc, char **argv);
+
+    bool json() const { return json_; }
+    /** The DiAG configuration --config and --rings name. */
+    core::DiagConfig config() const;
+    /** True when @p findings fail the exit bar. */
+    bool failsBar(const analysis::LintResult &findings) const;
+
+    /** Run @p fn on every unit over up to @p jobs host threads
+     *  (0 = one per hardware thread), print, and return the exit
+     *  status. */
+    int run(unsigned jobs, const UnitFn &fn) const;
+
+  private:
+    ArgParser ap_;
+    std::string tool_;
+    std::string verb_;
+    std::string config_ = "F4C32";
+    std::string workload_;
+    std::vector<std::string> files_;
+    unsigned rings_ = 0; //!< 0 = keep the preset's ring count
+    bool all_workloads_ = false;
+    bool json_ = false;
+    bool sarif_ = false;
+    bool werror_ = false;
+};
 
 } // namespace diag::harness
 
