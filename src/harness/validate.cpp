@@ -6,7 +6,6 @@
 #include "common/log.hpp"
 #include "diag/cluster.hpp"
 #include "harness/runner.hpp"
-#include "host/parallel.hpp"
 
 namespace diag::harness
 {
@@ -120,18 +119,6 @@ validateBound(const core::DiagConfig &cfg, const workloads::Workload &w,
     rep.ok_program =
         rep.measured_cycles + 1e-9 >= rep.program_lower_bound;
     return rep;
-}
-
-std::vector<ValidationReport>
-validateBoundMany(const std::vector<BoundCell> &cells, unsigned jobs)
-{
-    return host::parallelMap<ValidationReport>(
-        jobs, cells.size(), [&cells](size_t i) {
-            const BoundCell &c = cells[i];
-            panic_if(c.w == nullptr, "bound cell %zu has no workload",
-                     i);
-            return validateBound(c.cfg, *c.w, c.use_simt, c.slack);
-        });
 }
 
 std::string

@@ -66,25 +66,6 @@ ValidationReport validateBound(const core::DiagConfig &cfg,
                                const workloads::Workload &w,
                                bool use_simt, double slack = 0.15);
 
-/** One validation of the sweep matrix (workload pointer must outlive
- *  validateBoundMany(); shared read-only across host workers). */
-struct BoundCell
-{
-    core::DiagConfig cfg;
-    const workloads::Workload *w = nullptr;
-    bool use_simt = false;
-    double slack = 0.15;
-};
-
-/**
- * validateBound() for every cell, fanned out over up to @p jobs host
- * threads (0 = one per hardware thread). Each cell simulates on its
- * own engine instance; reports come back in cell order, so rendered
- * sweep output is byte-identical for any job count.
- */
-std::vector<ValidationReport>
-validateBoundMany(const std::vector<BoundCell> &cells, unsigned jobs);
-
 /** Human-readable validation table (one line per region). */
 std::string renderValidation(const ValidationReport &r);
 

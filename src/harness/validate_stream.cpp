@@ -7,7 +7,6 @@
 #include "common/log.hpp"
 #include "harness/runner.hpp"
 #include "harness/validate.hpp"
-#include "host/parallel.hpp"
 
 namespace diag::harness
 {
@@ -401,18 +400,6 @@ validateStream(const core::DiagConfig &cfg, const workloads::Workload &w)
         rep.loops.push_back(std::move(c));
     }
     return rep;
-}
-
-std::vector<StreamValidation>
-validateStreamMany(const std::vector<StreamCell> &cells, unsigned jobs)
-{
-    return host::parallelMap<StreamValidation>(
-        jobs, cells.size(), [&cells](size_t i) {
-            const StreamCell &c = cells[i];
-            panic_if(c.w == nullptr, "stream cell %zu has no workload",
-                     i);
-            return validateStream(c.cfg, *c.w);
-        });
 }
 
 std::string

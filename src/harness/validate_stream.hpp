@@ -86,24 +86,6 @@ struct StreamValidation
 StreamValidation validateStream(const core::DiagConfig &cfg,
                                 const workloads::Workload &w);
 
-/** One validation of the sweep matrix (workload pointer must outlive
- *  validateStreamMany(); shared read-only across host workers). */
-struct StreamCell
-{
-    core::DiagConfig cfg;
-    const workloads::Workload *w = nullptr;
-};
-
-/**
- * validateStream() for every cell, fanned out over up to @p jobs host
- * threads (0 = one per hardware thread). Each cell simulates and
- * records on its own engine instance inside its worker; reports come
- * back in cell order, so rendered sweep output is byte-identical for
- * any job count.
- */
-std::vector<StreamValidation>
-validateStreamMany(const std::vector<StreamCell> &cells, unsigned jobs);
-
 /** Human-readable validation table (one block per region). */
 std::string renderStreamValidation(const StreamValidation &r);
 

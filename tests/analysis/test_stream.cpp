@@ -411,24 +411,3 @@ TEST(StreamValidate, RecordingNeverChangesACycle)
     ASSERT_NE(b.addrs, nullptr);
     EXPECT_FALSE(b.addrs->regions.empty());
 }
-
-TEST(StreamValidate, SweepRendersByteIdenticalForAnyJobCount)
-{
-    const core::DiagConfig cfg = core::DiagConfig::f4c32();
-    const auto suite = workloads::rodiniaSuite();
-    std::vector<harness::StreamCell> cells;
-    for (const auto &w : suite) {
-        if (!w.asm_simt.empty() && cells.size() < 3)
-            cells.push_back({cfg, &w});
-    }
-    ASSERT_GE(cells.size(), 2u);
-    const auto one = harness::validateStreamMany(cells, 1);
-    const auto four = harness::validateStreamMany(cells, 4);
-    ASSERT_EQ(one.size(), four.size());
-    for (size_t i = 0; i < one.size(); ++i) {
-        EXPECT_EQ(harness::renderStreamValidation(one[i]),
-                  harness::renderStreamValidation(four[i]));
-        EXPECT_EQ(harness::renderStreamValidationJson(one[i]),
-                  harness::renderStreamValidationJson(four[i]));
-    }
-}

@@ -1,10 +1,9 @@
-/** Host-parallel harness sweeps: runMatrix / validateBoundMany must
- *  produce results identical to the serial path for any job count
- *  (the figure benches rely on this for byte-stable tables). */
+/** Host-parallel harness sweeps: runMatrix must produce results
+ *  identical to the serial path for any job count (the figure benches
+ *  rely on this for byte-stable tables). */
 #include <gtest/gtest.h>
 
 #include "harness/runner.hpp"
-#include "harness/validate.hpp"
 #include "workloads/workload.hpp"
 
 using namespace diag;
@@ -38,29 +37,5 @@ TEST(ParallelHarness, RunMatrixMatchesSerial)
         EXPECT_DOUBLE_EQ(par[i].energy.totalPj(),
                          serial[i].energy.totalPj())
             << "cell " << i;
-    }
-}
-
-TEST(ParallelHarness, ValidateBoundManyMatchesSerial)
-{
-    const workloads::Workload lud = workloads::findWorkload("lud");
-    const workloads::Workload nn = workloads::findWorkload("nn");
-    const std::vector<BoundCell> cells{
-        {.cfg = core::DiagConfig::f4c32(), .w = &lud,
-         .use_simt = false},
-        {.cfg = core::DiagConfig::f4c32(), .w = &nn,
-         .use_simt = !nn.asm_simt.empty()},
-    };
-    const auto serial = validateBoundMany(cells, 1);
-    const auto par = validateBoundMany(cells, 4);
-    ASSERT_EQ(serial.size(), cells.size());
-    ASSERT_EQ(par.size(), cells.size());
-    for (size_t i = 0; i < cells.size(); ++i) {
-        // Rendered JSON covers every field, including per-region
-        // floating-point values, byte for byte.
-        EXPECT_EQ(renderValidationJson(par[i]),
-                  renderValidationJson(serial[i]))
-            << "cell " << i;
-        EXPECT_TRUE(serial[i].ok()) << "cell " << i;
     }
 }
