@@ -9,6 +9,7 @@
  * for any job count.
  */
 #include "fig_common.hpp"
+#include "harness/cli.hpp"
 
 using namespace diag;
 using namespace diag::harness;
@@ -16,7 +17,16 @@ using namespace diag::harness;
 int
 main(int argc, char **argv)
 {
-    const unsigned jobs = bench::parseJobs(argc, argv);
+    unsigned jobs = 0;
+    ArgParser ap("bench_fig12_energy_efficiency");
+    switch (ap.jobsFlag(&jobs).parse(argc, argv)) {
+    case ArgParser::Status::Help:
+        return 0;
+    case ArgParser::Status::Usage:
+        return 1;
+    case ArgParser::Status::Run:
+        break;
+    }
     const std::vector<workloads::Workload> suite =
         workloads::rodiniaSuite();
     // Cells per workload: single thread (F4C32 vs one baseline core),
