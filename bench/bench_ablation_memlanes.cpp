@@ -2,32 +2,34 @@
  * @file
  * Ablation: memory lanes (store-to-load forwarding, §5.2) on/off.
  */
-#include <cstdio>
-
-#include "harness/runner.hpp"
-#include "harness/table.hpp"
+#include "fig_common.hpp"
 
 using namespace diag;
 using namespace diag::core;
 using namespace diag::harness;
 
 int
-main()
+main(int argc, char **argv)
 {
+    unsigned jobs = 0;
+    if (const auto rc = bench::parseJobs("bench_ablation_memlanes", argc,
+                                         argv, &jobs))
+        return *rc;
+    const std::vector<workloads::Workload> suite = bench::findWorkloads(
+        {"nw", "pathfinder", "lud", "xz", "bfs", "hotspot"});
+    DiagConfig off = DiagConfig::f4c32();
+    off.mem_lanes_enabled = false;
+    off.name = "F4C32-nomemlanes";
+    const auto runs =
+        bench::runGrid(suite, {DiagConfig::f4c32(), off}, jobs);
+
     Table t("Ablation: memory lanes on vs off (F4C32, serial)");
     t.header({"benchmark", "cycles (lanes)", "cycles (no lanes)",
               "speedup", "forwards"});
-    const char *names[] = {"nw", "pathfinder", "lud", "xz", "bfs",
-                           "hotspot"};
-    for (const char *name : names) {
-        const workloads::Workload w = workloads::findWorkload(name);
-        DiagConfig on = DiagConfig::f4c32();
-        DiagConfig off = DiagConfig::f4c32();
-        off.mem_lanes_enabled = false;
-        off.name = "F4C32-nomemlanes";
-        const EngineRun a = runOnDiag(on, w, {1, false});
-        const EngineRun b = runOnDiag(off, w, {1, false});
-        t.row({name,
+    for (size_t i = 0; i < suite.size(); ++i) {
+        const EngineRun &a = runs[i][0];
+        const EngineRun &b = runs[i][1];
+        t.row({suite[i].name,
                Table::num(static_cast<double>(a.stats.cycles), 0),
                Table::num(static_cast<double>(b.stats.cycles), 0),
                Table::num(static_cast<double>(b.stats.cycles) /

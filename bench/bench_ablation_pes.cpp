@@ -5,40 +5,41 @@
  * improvement can be gained with more than 256 PEs for serial
  * programs" (§7.2.1).
  */
-#include <cstdio>
-
-#include "harness/runner.hpp"
-#include "harness/table.hpp"
+#include "fig_common.hpp"
 
 using namespace diag;
 using namespace diag::core;
 using namespace diag::harness;
 
 int
-main()
+main(int argc, char **argv)
 {
+    unsigned jobs = 0;
+    if (const auto rc =
+            bench::parseJobs("bench_ablation_pes", argc, argv, &jobs))
+        return *rc;
     const unsigned cluster_counts[] = {2, 4, 8, 16, 32};
-    const char *names[] = {"backprop", "hotspot", "kmeans", "srad"};
+    const std::vector<workloads::Workload> suite =
+        bench::findWorkloads({"backprop", "hotspot", "kmeans", "srad"});
+    std::vector<bench::EngineConfig> cfgs;
+    for (unsigned clusters : cluster_counts) {
+        DiagConfig cfg = DiagConfig::f4c32();
+        cfg.total_clusters = clusters;
+        cfg.name = "F4C" + std::to_string(clusters);
+        cfgs.push_back(cfg);
+    }
+    const auto runs = bench::runGrid(suite, cfgs, jobs);
 
     Table t("Ablation: cycles vs total PEs (serial execution)");
     std::vector<std::string> head{"benchmark"};
     for (unsigned c : cluster_counts)
         head.push_back(std::to_string(16 * c) + " PEs");
     t.header(head);
-
-    for (const char *name : names) {
-        const workloads::Workload w = workloads::findWorkload(name);
-        std::vector<std::string> cells{name};
-        double first = 0.0;
-        for (unsigned clusters : cluster_counts) {
-            DiagConfig cfg = DiagConfig::f4c32();
-            cfg.total_clusters = clusters;
-            cfg.name = "F4C" + std::to_string(clusters);
-            const EngineRun run = runOnDiag(cfg, w, {1, false});
-            const double cycles =
-                static_cast<double>(run.stats.cycles);
-            if (first == 0.0)
-                first = cycles;
+    for (size_t i = 0; i < suite.size(); ++i) {
+        std::vector<std::string> cells{suite[i].name};
+        const double first = static_cast<double>(runs[i][0].stats.cycles);
+        for (const EngineRun &run : runs[i]) {
+            const double cycles = static_cast<double>(run.stats.cycles);
             cells.push_back(Table::num(cycles, 0) + " (" +
                             Table::num(first / cycles, 2) + "x)");
         }

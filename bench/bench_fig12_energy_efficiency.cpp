@@ -9,7 +9,6 @@
  * for any job count.
  */
 #include "fig_common.hpp"
-#include "harness/cli.hpp"
 
 using namespace diag;
 using namespace diag::harness;
@@ -18,15 +17,9 @@ int
 main(int argc, char **argv)
 {
     unsigned jobs = 0;
-    ArgParser ap("bench_fig12_energy_efficiency");
-    switch (ap.jobsFlag(&jobs).parse(argc, argv)) {
-    case ArgParser::Status::Help:
-        return 0;
-    case ArgParser::Status::Usage:
-        return 1;
-    case ArgParser::Status::Run:
-        break;
-    }
+    if (const auto rc = bench::parseJobs("bench_fig12_energy_efficiency",
+                                         argc, argv, &jobs))
+        return *rc;
     const std::vector<workloads::Workload> suite =
         workloads::rodiniaSuite();
     // Cells per workload: single thread (F4C32 vs one baseline core),

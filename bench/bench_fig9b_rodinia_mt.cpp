@@ -5,21 +5,14 @@
  * the benchmark has a pipelineable region, against the 12-core OoO.
  */
 #include "fig_common.hpp"
-#include "harness/cli.hpp"
 
 int
 main(int argc, char **argv)
 {
     unsigned jobs = 0;
-    diag::harness::ArgParser ap("bench_fig9b_rodinia_mt");
-    switch (ap.jobsFlag(&jobs).parse(argc, argv)) {
-    case diag::harness::ArgParser::Status::Help:
-        return 0;
-    case diag::harness::ArgParser::Status::Usage:
-        return 1;
-    case diag::harness::ArgParser::Status::Run:
-        break;
-    }
+    if (const auto rc = diag::bench::parseJobs("bench_fig9b_rodinia_mt",
+                                               argc, argv, &jobs))
+        return *rc;
     diag::bench::relPerfMultiThread(
         "Fig 9b: Rodinia multithreaded relative performance "
         "(12-core baseline = 1.0)",

@@ -6,33 +6,38 @@
  * denser buffers the opposite. This sweep quantifies the cycle-count
  * side of that trade-off (clock period effects are annotated).
  */
-#include <cstdio>
-
-#include "harness/runner.hpp"
-#include "harness/table.hpp"
+#include "fig_common.hpp"
 
 using namespace diag;
 using namespace diag::core;
 using namespace diag::harness;
 
 int
-main()
+main(int argc, char **argv)
 {
+    unsigned jobs = 0;
+    if (const auto rc =
+            bench::parseJobs("bench_lane_timing", argc, argv, &jobs))
+        return *rc;
+    const std::vector<workloads::Workload> suite =
+        bench::findWorkloads({"backprop", "hotspot", "deepsjeng", "lbm"});
+    std::vector<bench::EngineConfig> cfgs;
+    for (const unsigned seg : {4u, 8u, 16u}) {
+        DiagConfig cfg = DiagConfig::f4c32();
+        cfg.segment_size = seg;
+        cfg.name = "F4C32-seg" + std::to_string(seg);
+        cfgs.push_back(cfg);
+    }
+    const auto runs = bench::runGrid(suite, cfgs, jobs);
+
     Table t("Ablation: lane buffer spacing (segment size), F4C32");
     t.header({"benchmark", "every 4 PEs", "every 8 PEs (paper)",
               "every 16 PEs"});
-    const char *names[] = {"backprop", "hotspot", "deepsjeng", "lbm"};
-    for (const char *name : names) {
-        const workloads::Workload w = workloads::findWorkload(name);
-        std::vector<std::string> cells{name};
-        for (const unsigned seg : {4u, 8u, 16u}) {
-            DiagConfig cfg = DiagConfig::f4c32();
-            cfg.segment_size = seg;
-            cfg.name = "F4C32-seg" + std::to_string(seg);
-            const EngineRun run = runOnDiag(cfg, w, {1, false});
+    for (size_t i = 0; i < suite.size(); ++i) {
+        std::vector<std::string> cells{suite[i].name};
+        for (const EngineRun &run : runs[i])
             cells.push_back(
                 Table::num(static_cast<double>(run.stats.cycles), 0));
-        }
         t.row(cells);
     }
     t.print();

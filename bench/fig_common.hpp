@@ -1,22 +1,26 @@
 /**
  * @file
- * Shared driver for the figure benches: runs a workload suite on the
- * baseline and a set of DiAG configurations and prints relative
- * performance / energy-efficiency series the way the paper's figures
- * report them (baseline = 1.0).
+ * Shared driver for the workload benches: the figure, ablation, stall
+ * and energy-breakdown binaries. Each one runs a workload suite on the
+ * OoO baseline and/or a set of DiAG configurations and prints the
+ * tables the paper reports (relative series with baseline = 1.0).
  *
- * All engine runs fan out through harness::runMatrix onto host worker
- * threads (--jobs N, default one per hardware thread); results merge
- * in cell order, so the printed tables are byte-identical for any job
- * count.
+ * Every engine run is one harness::runMatrix cell, fanned out onto
+ * host worker threads (--jobs N, default one per hardware thread);
+ * results merge in cell order, so the printed tables are
+ * byte-identical for any job count.
  */
 #ifndef DIAG_BENCH_FIG_COMMON_HPP
 #define DIAG_BENCH_FIG_COMMON_HPP
 
 #include <cstdio>
+#include <initializer_list>
+#include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "harness/cli.hpp"
 #include "harness/runner.hpp"
 #include "harness/table.hpp"
 
@@ -28,6 +32,63 @@ using harness::MatrixCell;
 using harness::RunSpec;
 using harness::Table;
 
+/** The engine a grid column runs on: DiAG or the OoO baseline. */
+using EngineConfig = decltype(MatrixCell::cfg);
+
+/**
+ * Parse the workload benches' one flag, --jobs N, into @p jobs.
+ * Returns the status main() exits with now (0 after --help, 1 after a
+ * usage error), or nothing when the bench should run.
+ */
+inline std::optional<int>
+parseJobs(const char *tool, int argc, char **argv, unsigned *jobs)
+{
+    harness::ArgParser ap(tool);
+    switch (ap.jobsFlag(jobs).parse(argc, argv)) {
+    case harness::ArgParser::Status::Help:
+        return 0;
+    case harness::ArgParser::Status::Usage:
+        return 1;
+    case harness::ArgParser::Status::Run:
+        break;
+    }
+    return std::nullopt;
+}
+
+/** The named workloads, in order. */
+inline std::vector<workloads::Workload>
+findWorkloads(std::initializer_list<const char *> names)
+{
+    std::vector<workloads::Workload> suite;
+    for (const char *name : names)
+        suite.push_back(workloads::findWorkload(name));
+    return suite;
+}
+
+/**
+ * Run every workload of @p suite single-threaded on every config of
+ * @p cfgs through one harness::runMatrix call on @p jobs host threads.
+ * Returns runs[i][c], workload i on config c.
+ */
+inline std::vector<std::vector<EngineRun>>
+runGrid(const std::vector<workloads::Workload> &suite,
+        const std::vector<EngineConfig> &cfgs, unsigned jobs)
+{
+    std::vector<MatrixCell> cells;
+    for (const auto &w : suite)
+        for (const auto &cfg : cfgs)
+            cells.push_back({.w = &w, .spec = {1, false}, .cfg = cfg});
+    std::vector<EngineRun> flat = harness::runMatrix(cells, jobs);
+
+    std::vector<std::vector<EngineRun>> runs(suite.size());
+    for (size_t i = 0; i < suite.size(); ++i) {
+        const auto row =
+            std::make_move_iterator(flat.begin() + i * cfgs.size());
+        runs[i].assign(row, row + cfgs.size());
+    }
+    return runs;
+}
+
 /** Relative performance of single-threaded DiAG configs vs the
  *  1-core baseline (Fig. 9a / Fig. 10a shape). */
 inline void
@@ -36,32 +97,21 @@ relPerfSingleThread(const std::string &title,
                     double paper_avg_32, double paper_avg_256,
                     double paper_avg_512, unsigned jobs = 0)
 {
-    const auto cfgs = harness::diagSingleThreadConfigs();
-    // One matrix cell per (workload, engine config), stride
-    // 1 + cfgs.size() per workload: baseline first, then each DiAG
-    // config.
-    const size_t stride = 1 + cfgs.size();
-    std::vector<MatrixCell> cells;
-    for (const auto &w : suite) {
-        cells.push_back({.w = &w,
-                         .spec = {1, false},
-                         .cfg = ooo::OooConfig::baseline8()});
-        for (const auto &cfg : cfgs)
-            cells.push_back({.w = &w,
-                             .spec = {1, false},
-                             .cfg = cfg});
-    }
-    const std::vector<EngineRun> runs = harness::runMatrix(cells, jobs);
+    const auto diag_cfgs = harness::diagSingleThreadConfigs();
+    // Config 0 is the baseline, then each DiAG config.
+    std::vector<EngineConfig> cfgs{ooo::OooConfig::baseline8()};
+    cfgs.insert(cfgs.end(), diag_cfgs.begin(), diag_cfgs.end());
+    const auto runs = runGrid(suite, cfgs, jobs);
 
     Table t(title);
     t.header({"benchmark", "DiAG-32PE", "DiAG-256PE", "DiAG-512PE",
               "baseline IPC"});
-    std::vector<std::vector<double>> rels(cfgs.size());
+    std::vector<std::vector<double>> rels(diag_cfgs.size());
     for (size_t i = 0; i < suite.size(); ++i) {
-        const EngineRun &base = runs[i * stride];
+        const EngineRun &base = runs[i][0];
         std::vector<std::string> cells_out{suite[i].name};
-        for (size_t c = 0; c < cfgs.size(); ++c) {
-            const EngineRun &run = runs[i * stride + 1 + c];
+        for (size_t c = 0; c < diag_cfgs.size(); ++c) {
+            const EngineRun &run = runs[i][1 + c];
             const double rel = static_cast<double>(base.stats.cycles) /
                                static_cast<double>(run.stats.cycles);
             rels[c].push_back(rel);
