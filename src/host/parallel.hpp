@@ -1,20 +1,22 @@
 /**
  * @file
- * Deterministic fan-out/merge on top of host::ThreadPool.
+ * Deterministic fan-out/merge for the multi-run drivers.
  *
  * parallelMap() is the result-merge layer every multi-run driver
  * (campaigns, validation sweeps, figure benches) goes through: task i
  * writes only slot i of the output, so the merged vector is in task
- * order no matter which worker ran what when. Combined with per-task
+ * order no matter which thread ran what when. Combined with per-task
  * seeding by index, a driver's output is byte-identical for any job
  * count — `--jobs N` may only change wall-clock time.
  */
 #ifndef DIAG_HOST_PARALLEL_HPP
 #define DIAG_HOST_PARALLEL_HPP
 
+#include <algorithm>
+#include <atomic>
 #include <cstddef>
-#include <future>
-#include <utility>
+#include <exception>
+#include <thread>
 #include <vector>
 
 #include "host/cancel.hpp"
@@ -31,12 +33,13 @@ resolveJobs(unsigned requested)
 }
 
 /**
- * Evaluate fn(0..n-1) on up to @p jobs host threads and return the
- * results indexed by input. jobs==1 (or n<=1) runs inline with no
- * threads at all — the serial reference path. Otherwise the calling
- * thread participates as one of the @p jobs executors. If any call
- * throws, every task still settles, then the exception of the
- * lowest-indexed failing task is rethrown.
+ * Evaluate fn(0..n-1) on min(jobs, n) executors and return the results
+ * indexed by input. The calling thread is one executor and the rest
+ * are helper threads; each executor takes the next unclaimed index
+ * from one shared counter. jobs==1 (or n<=1) runs inline with no
+ * threads at all — the serial reference path. If any call throws,
+ * every task still settles, then the exception of the lowest-indexed
+ * failing task is rethrown.
  *
  * @p cancel, when non-null, is polled before each task starts: once
  * it fires, tasks that have not begun are skipped and their output
@@ -53,52 +56,30 @@ parallelMap(unsigned jobs, size_t n, Fn fn,
             const CancelToken *cancel = nullptr)
 {
     std::vector<T> out(n);
-    if (resolveJobs(jobs) <= 1 || n <= 1) {
-        for (size_t i = 0; i < n; ++i) {
-            if (cancel && cancel->stopRequested())
-                break;
-            out[i] = fn(i);
-        }
-        return out;
-    }
-    const size_t executors =
-        std::min<size_t>(resolveJobs(jobs), n);
-    ThreadPool pool(static_cast<unsigned>(executors) - 1);
-    std::vector<std::future<void>> pending;
-    pending.reserve(n);
-    for (size_t i = 0; i < n; ++i)
-        pending.push_back(pool.submit([&out, &fn, i, cancel]() {
+    std::vector<std::exception_ptr> errors(n);
+    std::atomic<size_t> next{0};
+    const auto work = [&]() {
+        for (size_t i; (i = next.fetch_add(1)) < n;) {
             if (cancel && cancel->stopRequested())
                 return;
-            out[i] = fn(i);
-        }));
-    // Settle everything first (helping), then collect exceptions in
-    // index order; rethrowing early would unwind `out` under the
-    // feet of still-running tasks.
-    using namespace std::chrono_literals;
-    for (std::future<void> &f : pending) {
-        while (f.wait_for(0s) != std::future_status::ready) {
-            if (!pool.runOne())
-                f.wait_for(1ms);
+            try {
+                out[i] = fn(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
         }
-    }
-    for (std::future<void> &f : pending)
-        f.get();
-    return out;
-}
-
-/** parallelMap for side-effect-only bodies. */
-template <class Fn>
-void
-parallelFor(unsigned jobs, size_t n, Fn fn)
-{
-    struct Unit
-    {
     };
-    parallelMap<Unit>(jobs, n, [&fn](size_t i) {
-        fn(i);
-        return Unit{};
-    });
+    {
+        const size_t executors = std::min<size_t>(resolveJobs(jobs), n);
+        std::vector<std::jthread> helpers;
+        for (size_t h = 1; h < executors; ++h)
+            helpers.emplace_back(work);
+        work();
+    } // joins the helpers: every task has settled
+    for (const std::exception_ptr &e : errors)
+        if (e)
+            std::rethrow_exception(e);
+    return out;
 }
 
 } // namespace diag::host
