@@ -4,6 +4,7 @@
 #include <tuple>
 
 #include "common/log.hpp"
+#include "common/stats.hpp"
 
 namespace diag::analysis
 {
@@ -61,33 +62,6 @@ renderText(const LintResult &result)
         result.warnings(), result.count(Severity::Note));
     return out;
 }
-
-namespace
-{
-
-/** Escape a string for inclusion in a JSON string literal. */
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += detail::vformat("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
-}
-
-} // namespace
 
 std::string
 renderJson(const LintResult &result)

@@ -22,12 +22,17 @@ jsonEscape(const std::string &s)
     std::string out;
     out.reserve(s.size());
     for (const char c : s) {
-        if (c == '"' || c == '\\')
-            out += '\\', out += c;
-        else if (static_cast<unsigned char>(c) < 0x20)
-            out += detail::vformat("\\u%04x", c);
-        else
-            out += c;
+        switch (c) {
+          case '"': out += "\\\""; break;
+          case '\\': out += "\\\\"; break;
+          case '\n': out += "\\n"; break;
+          case '\t': out += "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                out += detail::vformat("\\u%04x", c);
+            else
+                out += c;
+        }
     }
     return out;
 }

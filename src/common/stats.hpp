@@ -26,9 +26,10 @@ namespace diag
 std::string jsonNumber(double v);
 
 /**
- * Escape a string for embedding in a JSON document. Counter keys are
- * ASCII identifiers, but escape defensively so a hostile key cannot
- * break the document.
+ * Escape a string for embedding in a JSON string literal: `"`, `\`,
+ * newline and tab get their short escapes, every other byte below
+ * 0x20 becomes `\u00XX`, and all other bytes pass through. This is
+ * the tree's only JSON string escaper.
  */
 std::string jsonEscape(const std::string &s);
 

@@ -5,6 +5,7 @@
 
 #include "asm/assembler.hpp"
 #include "common/log.hpp"
+#include "common/stats.hpp"
 #include "diag/processor.hpp"
 #include "fault/controller.hpp"
 #include "fault/lockstep.hpp"
@@ -26,27 +27,6 @@ trialSeed(u64 campaign_seed, unsigned trial)
     z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
     z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     return z ^ (z >> 31);
-}
-
-std::string
-jsonEscape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                out += detail::vformat("\\u%04x", c);
-            else
-                out += c;
-        }
-    }
-    return out;
 }
 
 std::string

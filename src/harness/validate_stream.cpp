@@ -5,6 +5,7 @@
 
 #include "asm/assembler.hpp"
 #include "common/log.hpp"
+#include "common/stats.hpp"
 #include "harness/runner.hpp"
 #include "harness/validate.hpp"
 
@@ -458,7 +459,7 @@ renderStreamValidationJson(const StreamValidation &r)
         "  \"regions_entered\": %llu,\n  \"regions_static\": %llu,\n"
         "  \"loops_entered\": %llu,\n  \"loops_static\": %llu,\n"
         "  \"ok\": %s,\n  \"regions\": [",
-        r.workload.c_str(), r.config.c_str(),
+        jsonEscape(r.workload).c_str(), jsonEscape(r.config).c_str(),
         (unsigned long long)r.regions_entered,
         (unsigned long long)r.regions_static,
         (unsigned long long)r.loops_entered,
@@ -481,7 +482,7 @@ renderStreamValidationJson(const StreamValidation &r)
         for (const std::string &f : c.failures) {
             out += ffirst ? "\"" : ", \"";
             ffirst = false;
-            out += f + "\"";
+            out += jsonEscape(f) + "\"";
         }
         out += "]}";
     }
@@ -502,7 +503,7 @@ renderStreamValidationJson(const StreamValidation &r)
         for (const std::string &f : c.failures) {
             out += ffirst ? "\"" : ", \"";
             ffirst = false;
-            out += f + "\"";
+            out += jsonEscape(f) + "\"";
         }
         out += "]}";
     }

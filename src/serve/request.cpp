@@ -1,6 +1,7 @@
 #include "serve/request.hpp"
 
 #include "common/log.hpp"
+#include "common/stats.hpp"
 
 namespace diag::serve
 {
@@ -67,23 +68,12 @@ isRetryable(FailKind k)
 std::string
 renderResponseJson(const SimResponse &r)
 {
-    std::string esc;
-    esc.reserve(r.reason.size());
-    for (const char c : r.reason) {
-        if (c == '"' || c == '\\')
-            esc += '\\';
-        if (c == '\n') {
-            esc += "\\n";
-            continue;
-        }
-        esc += c;
-    }
     std::string out = detail::vformat(
         "{\"id\": %llu, \"status\": \"%s\", \"fail\": \"%s\", "
         "\"reason\": \"%s\", \"attempts\": %u, \"from_cache\": %s, "
         "\"retry_after_ms\": %llu, \"latency_ms\": %llu",
         static_cast<unsigned long long>(r.id), respStatusName(r.status),
-        failKindName(r.fail), esc.c_str(), r.attempts,
+        failKindName(r.fail), jsonEscape(r.reason).c_str(), r.attempts,
         r.from_cache ? "true" : "false",
         static_cast<unsigned long long>(r.retry_after_ms),
         static_cast<unsigned long long>(r.latency_ms));

@@ -192,7 +192,8 @@ writeChromeTrace(std::ostream &os, const Tracer &tracer,
               "\"workload\":\"%s\",\"config\":\"%s\",\"simt\":%s,"
               "\"time_unit\":\"1 ts = 1 cycle\","
               "\"events\":%llu,\"dropped\":%llu}",
-              meta.workload.c_str(), meta.config.c_str(),
+              jsonEscape(meta.workload).c_str(),
+              jsonEscape(meta.config).c_str(),
               meta.simt ? "true" : "false",
               static_cast<unsigned long long>(events.size()),
               static_cast<unsigned long long>(tracer.sink().dropped()))
@@ -214,8 +215,8 @@ writeMetricsJson(std::ostream &os, const MetricsSeries &m,
     os << detail::vformat(
         "{\n\"workload\":\"%s\",\n\"config\":\"%s\",\n\"simt\":%s,\n"
         "\"stride\":%llu,\n\"clusters\":%u,\n\"samples\":[",
-        meta.workload.c_str(), meta.config.c_str(),
-        meta.simt ? "true" : "false",
+        jsonEscape(meta.workload).c_str(),
+        jsonEscape(meta.config).c_str(), meta.simt ? "true" : "false",
         static_cast<unsigned long long>(m.stride()), clusters);
     bool first = true;
     for (const MetricsSample &s : m.samples()) {
@@ -283,7 +284,8 @@ writeSpanTrace(std::ostream &os, const std::vector<SpanEvent> &spans,
        << detail::vformat(
               "\"workload\":\"%s\",\"config\":\"%s\","
               "\"time_unit\":\"1 ts = 1 us\",\"spans\":%llu}",
-              meta.workload.c_str(), meta.config.c_str(),
+              jsonEscape(meta.workload).c_str(),
+              jsonEscape(meta.config).c_str(),
               static_cast<unsigned long long>(spans.size()))
        << "}\n";
 }

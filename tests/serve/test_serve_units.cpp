@@ -3,16 +3,19 @@
  * Unit tests for the service-layer policy pieces: the bounded
  * admission queue (watermarks, hysteresis, priority order), the
  * retry policy, the result cache's integrity degradation, the
- * restart-budget circuit breaker, the fault plan's determinism, and
- * request validation. All pure single-threaded policy — the threaded
- * service and the soak DES reuse exactly these objects.
+ * restart-budget circuit breaker, the fault plan's determinism,
+ * request validation, and the reply line's JSON. All pure
+ * single-threaded policy — the threaded service and the soak DES
+ * reuse exactly these objects.
  */
 #include <gtest/gtest.h>
 
+#include "json_syntax.hpp"
 #include "serve/breaker.hpp"
 #include "serve/cache.hpp"
 #include "serve/fault_plan.hpp"
 #include "serve/queue.hpp"
+#include "serve/request.hpp"
 #include "serve/retry.hpp"
 #include "serve/worker.hpp"
 
@@ -240,6 +243,19 @@ TEST(ValidateRequest, ClassifiesMalformedWithoutFataling)
     other = q;
     other.threads = 2;
     EXPECT_NE(validateRequest(other).content_key, v.content_key);
+}
+
+TEST(RenderResponseJson, ControlBytesInReasonStayValidJson)
+{
+    // An unknown workload name is echoed into the reason, so any byte
+    // a client sends can reach the reply line.
+    SimResponse r;
+    r.id = 1;
+    r.fail = FailKind::Malformed;
+    r.reason = "unknown workload 'nn\x01x'\t\"quoted\"\n";
+    const std::string json = renderResponseJson(r);
+    EXPECT_TRUE(test::isValidJson(json)) << json;
+    EXPECT_NE(json.find("nn\\u0001x"), std::string::npos) << json;
 }
 
 } // namespace
