@@ -390,21 +390,24 @@ rangeStraightline(const Program &prog, Addr begin, Addr end)
 
 } // namespace
 
-unsigned
-RegionBound::replicasFor(double threads, double entries) const
+RegionBound::Terms
+RegionBound::terms(double threads, double entries) const
 {
-    if (entries <= 0)
-        return 1;
-    const double per_entry = threads / entries;
-    const auto want = static_cast<unsigned>(std::max(1.0, per_entry));
-    return std::max(1u, std::min(max_replicas, want));
-}
-
-double
-RegionBound::iiPred(double threads, double entries) const
-{
-    const unsigned replicas = replicasFor(threads, entries);
-    return std::max({ii_gate, resource_ii / replicas, bank_ii});
+    Terms t;
+    if (entries > 0) {
+        const auto want =
+            static_cast<unsigned>(std::max(1.0, threads / entries));
+        t.replicas = std::max(1u, std::min(max_replicas, want));
+    }
+    t.ii = std::max({ii_gate, resource_ii / t.replicas, bank_ii});
+    if (t.replicas > 1)
+        t.entry_setup = static_cast<double>(t.replicas - 1) * lines *
+                            setup_per_line +
+                        setup_fixed;
+    t.fill = entries * fill_pred;
+    t.steady = (threads - entries) * t.ii;
+    t.setup = entries * t.entry_setup;
+    return t;
 }
 
 double
@@ -424,39 +427,30 @@ RegionBound::predict(double threads, double entries) const
 {
     if (entries <= 0)
         return 0;
-    const unsigned replicas = replicasFor(threads, entries);
-    double setup = 0;
-    if (replicas > 1)
-        setup = static_cast<double>(replicas - 1) * lines *
-                    setup_per_line +
-                setup_fixed;
-    return entries * (fill_pred + setup) +
-           (threads - entries) * iiPred(threads, entries);
+    const Terms t = terms(threads, entries);
+    return entries * (fill_pred + t.entry_setup) + t.steady;
 }
 
 const char *
 RegionBound::bottleneck(double threads, double entries) const
 {
-    const unsigned replicas = replicasFor(threads, entries);
-    const double ii = iiPred(threads, entries);
-    const double fill_term = entries * fill_pred;
-    const double drain_term = (threads - entries) * ii;
-    if (fill_term >= drain_term)
+    const Terms t = terms(threads, entries);
+    if (t.fill >= t.steady)
         return "recurrence";  // dominated by the per-thread lane
                               // critical path (pipeline mostly fills)
     if (ii_gate > static_cast<double>(interval) &&
-        ii_gate >= resource_ii / replicas && ii_gate >= bank_ii)
+        ii_gate >= resource_ii / t.replicas && ii_gate >= bank_ii)
         return "memory-order";  // the store-address gate serializes
                                 // successive threads
     if (bank_ii > static_cast<double>(interval) &&
-        bank_ii >= resource_ii / replicas)
+        bank_ii >= resource_ii / t.replicas)
         return "memory-bandwidth";  // L1D banks saturate on store
                                     // write-backs + thrashing loads
-    if (ii <= static_cast<double>(interval))
+    if (t.ii <= static_cast<double>(interval))
         return "recurrence";  // launch cadence (the rc chain) limits
     if (unpip_ii > lsu_ii)
         return "compute";
-    if (replicas == max_replicas && lines > 1)
+    if (t.replicas == max_replicas && lines > 1)
         return "cluster-fit";
     return "memory-lane";
 }

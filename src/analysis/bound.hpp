@@ -120,10 +120,19 @@ struct RegionBound
     double bank_ii = 0;
     bool straightline = true; //!< no forward branches in the body
 
-    /** Replicas the ring would commit for this thread count. */
-    unsigned replicasFor(double threads, double entries) const;
-    /** Predicted steady-state initiation interval. */
-    double iiPred(double threads, double entries) const;
+    /** The predicted schedule for given entry and thread counts: the
+     *  fill, steady-state and replica-setup terms predict() sums, and
+     *  the replica count and interval behind them. */
+    struct Terms
+    {
+        unsigned replicas = 1;  //!< replicas the ring would commit
+        double ii = 0;          //!< steady-state initiation interval
+        double entry_setup = 0; //!< replica line reload per entry
+        double fill = 0;        //!< entries * fill_pred
+        double steady = 0;      //!< (threads - entries) * ii
+        double setup = 0;       //!< entries * entry_setup
+    };
+    Terms terms(double threads, double entries) const;
     /** Provable lower bound on the summed region cycles, given the
      *  measured entry and thread counts. */
     double lowerBound(double threads, double entries) const;

@@ -6,6 +6,7 @@
 #include "common/log.hpp"
 #include "diag/cluster.hpp"
 #include "harness/runner.hpp"
+#include "trace/attribution.hpp"
 
 namespace diag::harness
 {
@@ -78,23 +79,22 @@ validateBound(const core::DiagConfig &cfg, const workloads::Workload &w,
     double piped_insts = 0;
     double region_lb = 0;
     for (const auto &r : an.bound.regions) {
+        const trace::RegionAttribution a =
+            trace::attributeRegion(r, run.stats.counters);
         RegionCheck c;
-        c.pc = r.simt_s_pc;
-        c.entries = run.stats.counters.get(
-            sim::simtRegionKey(r.simt_s_pc, "entries"));
-        c.threads = run.stats.counters.get(
-            sim::simtRegionKey(r.simt_s_pc, "threads"));
-        c.measured = run.stats.counters.get(
-            sim::simtRegionKey(r.simt_s_pc, "cycles"));
-        if (c.entries <= 0) {
+        c.pc = a.pc;
+        c.entries = a.entries;
+        c.threads = a.threads;
+        c.measured = a.measured;
+        if (!a.pipelined) {
             // Region never pipelined at run time (not reached, or the
             // control unit rejected it): nothing to compare.
             rep.regions.push_back(c);
             continue;
         }
-        c.lower_bound = r.lowerBound(c.threads, c.entries);
-        c.predicted = r.predict(c.threads, c.entries);
-        c.bottleneck = r.bottleneck(c.threads, c.entries);
+        c.lower_bound = a.lower_bound;
+        c.predicted = a.predicted;
+        c.bottleneck = a.bottleneck;
         c.ok_bound = c.measured + 1e-9 >= c.lower_bound;
         c.err = c.measured > 0
                     ? std::abs(c.predicted - c.measured) / c.measured

@@ -6,6 +6,42 @@
 namespace diag::trace
 {
 
+RegionAttribution
+attributeRegion(const analysis::RegionBound &r, const StatGroup &counters)
+{
+    RegionAttribution a;
+    a.pc = r.simt_s_pc;
+    a.entries = counters.get(sim::simtRegionKey(r.simt_s_pc, "entries"));
+    a.threads = counters.get(sim::simtRegionKey(r.simt_s_pc, "threads"));
+    a.measured = counters.get(sim::simtRegionKey(r.simt_s_pc, "cycles"));
+    a.pipelined = a.entries > 0;
+    if (!a.pipelined) {
+        // Static-only attribution: model one entry with enough threads
+        // to reach steady state, so the report still names the limiter
+        // the model expects for this region.
+        a.bottleneck = r.bottleneck(64, 1);
+        return a;
+    }
+    a.lower_bound = r.lowerBound(a.threads, a.entries);
+    a.predicted = r.predict(a.threads, a.entries);
+    a.bottleneck = r.bottleneck(a.threads, a.entries);
+    const analysis::RegionBound::Terms t = r.terms(a.threads, a.entries);
+    a.fill_cycles = t.fill;
+    a.steady_cycles = t.steady;
+    a.setup_cycles = t.setup;
+    a.gap = a.measured - a.predicted;
+    a.gap_frac = a.measured > 0 ? a.gap / a.measured : 0;
+    a.dominant = "fill";
+    double best = a.fill_cycles;
+    if (a.steady_cycles > best) {
+        a.dominant = "steady";
+        best = a.steady_cycles;
+    }
+    if (a.setup_cycles > best)
+        a.dominant = "setup";
+    return a;
+}
+
 AttributionReport
 attributeRegions(const analysis::BoundResult &bound,
                  const StatGroup &counters, double total_cycles,
@@ -15,50 +51,9 @@ attributeRegions(const analysis::BoundResult &bound,
     rep.total_cycles = total_cycles;
     rep.instructions = instructions;
     for (const analysis::RegionBound &r : bound.regions) {
-        RegionAttribution a;
-        a.pc = r.simt_s_pc;
-        a.entries =
-            counters.get(sim::simtRegionKey(r.simt_s_pc, "entries"));
-        a.threads =
-            counters.get(sim::simtRegionKey(r.simt_s_pc, "threads"));
-        a.measured =
-            counters.get(sim::simtRegionKey(r.simt_s_pc, "cycles"));
-        a.pipelined = a.entries > 0;
-        if (!a.pipelined) {
-            // Static-only attribution: model one entry with enough
-            // threads to reach steady state, so the report still
-            // names the limiter the model expects for this region.
-            a.bottleneck = r.bottleneck(64, 1);
-            rep.regions.push_back(a);
-            continue;
-        }
-        a.lower_bound = r.lowerBound(a.threads, a.entries);
-        a.predicted = r.predict(a.threads, a.entries);
-        a.bottleneck = r.bottleneck(a.threads, a.entries);
-        // Mirror RegionBound::predict()'s decomposition.
-        const unsigned replicas = r.replicasFor(a.threads, a.entries);
-        a.fill_cycles = a.entries * r.fill_pred;
-        a.steady_cycles = (a.threads - a.entries) *
-                          r.iiPred(a.threads, a.entries);
-        a.setup_cycles =
-            replicas > 1
-                ? a.entries *
-                      (static_cast<double>(replicas - 1) * r.lines *
-                           r.setup_per_line +
-                       r.setup_fixed)
-                : 0;
-        a.gap = a.measured - a.predicted;
-        a.gap_frac = a.measured > 0 ? a.gap / a.measured : 0;
-        a.dominant = "fill";
-        double best = a.fill_cycles;
-        if (a.steady_cycles > best) {
-            a.dominant = "steady";
-            best = a.steady_cycles;
-        }
-        if (a.setup_cycles > best)
-            a.dominant = "setup";
-        rep.region_cycles += a.measured;
-        rep.regions.push_back(a);
+        rep.regions.push_back(attributeRegion(r, counters));
+        if (rep.regions.back().pipelined)
+            rep.region_cycles += rep.regions.back().measured;
     }
     rep.serial_cycles = total_cycles > rep.region_cycles
                             ? total_cycles - rep.region_cycles

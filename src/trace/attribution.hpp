@@ -57,10 +57,18 @@ struct AttributionReport
 };
 
 /**
- * Build the attribution from the static model and the run counters
+ * One region's attribution from its static model and the run counters
  * (the `simt_region_<pc>_{entries,threads,cycles}` keys the ring
- * records). Regions the bound model covers but the run never
- * pipelined are reported with pipelined = false.
+ * records). A region the run never pipelined comes back with
+ * pipelined = false, its counts, and the model's static bottleneck.
+ */
+RegionAttribution attributeRegion(const analysis::RegionBound &r,
+                                  const StatGroup &counters);
+
+/**
+ * Build the attribution of every region the bound model covers, in
+ * its order (attributeRegion() each), plus the serial remainder of
+ * @p total_cycles.
  */
 AttributionReport
 attributeRegions(const analysis::BoundResult &bound,
