@@ -109,9 +109,6 @@ struct VerifyOptions
      * workload-initialized input ranges here.
      */
     std::vector<std::pair<Addr, u32>> extra_ranges;
-    /** Cap on per-region thread enumeration for the affine address
-     *  collision tests; larger regions verify as Unknown. */
-    u64 max_threads_enumerated = 65536;
 };
 
 /** Everything diag-verify decided about one program. */
