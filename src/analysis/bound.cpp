@@ -577,19 +577,18 @@ analyzeBound(const Cfg &cfg, const Program &prog,
         const RegId rc = simtStartFields(start).rc;
 
         // Line-buffer residency per cluster: group each access stream
-        // by its 64-byte data-line identity (base term, rc stride,
-        // offset window). A cluster whose streams outnumber the
-        // buffer entries thrashes — its loads fall through to the
+        // by its 64-byte data-line identity (base term and scale, rc
+        // stride, offset window). A cluster whose streams outnumber
+        // the buffer entries thrashes — its loads fall through to the
         // banked L1D — and every store writes back through the banks
         // regardless, so the banks impose a throughput floor shared
         // by all replicas.
-        using LineGroup = std::tuple<u32, i64, i64>;
-        const auto lineGroup = [&](const SymExpr &ea) {
+        using LineGroup = std::tuple<u32, i64, i64, i64>;
+        const auto lineGroup = [&](const SymVal &ea) {
             const i64 grain = static_cast<i64>(p.l1d_line_bytes);
-            const i64 window = ea.offset >= 0
-                                   ? ea.offset / grain
-                                   : (ea.offset - grain + 1) / grain;
-            return LineGroup{ea.base, ea.rc_coeff, window};
+            const i64 window = ea.off >= 0 ? ea.off / grain
+                                           : (ea.off - grain + 1) / grain;
+            return LineGroup{ea.base, ea.scale, ea.rc, window};
         };
         std::map<Addr, std::set<LineGroup>> load_groups;
         std::map<Addr, std::set<LineGroup>> all_groups;

@@ -27,106 +27,6 @@ loadClassName(LoadClass c)
 namespace
 {
 
-/** Value-numbering state: one SymExpr per architectural lane. */
-struct SymState
-{
-    std::array<SymExpr, kNumRegs> reg{};
-    u32 next_term = 1;
-
-    /** Seed every lane with a distinct opaque term (x0 stays 0). */
-    void
-    seed()
-    {
-        for (unsigned r = 1; r < kNumRegs; ++r)
-            reg[r] = {next_term++, 0, 0};
-    }
-
-    SymExpr fresh() { return {next_term++, 0, 0}; }
-
-    SymExpr
-    read(RegId r) const
-    {
-        if (r == kNoReg || r == kRegZero)
-            return {0, 0, 0};
-        return reg[r];
-    }
-};
-
-/** True iff @p e is a compile-time constant (no base, no rc term). */
-bool
-isConst(const SymExpr &e)
-{
-    return e.base == 0 && e.rc_coeff == 0;
-}
-
-/**
- * Transfer function of the value numbering: update @p st for @p di.
- * Only the address-forming subset (LUI/AUIPC, add/sub/shift with
- * immediates and constant operands) stays symbolic; everything else
- * produces a fresh opaque term.
- */
-void
-evalInst(SymState &st, Addr pc, const DecodedInst &di)
-{
-    if (!di.writesReg())
-        return;
-    const SymExpr a = st.read(di.rs1);
-    const SymExpr b = st.read(di.rs2);
-    SymExpr out;
-    switch (di.op) {
-      case Op::LUI:
-        out = {0, 0, static_cast<i64>(static_cast<u32>(di.imm))};
-        break;
-      case Op::AUIPC:
-        out = {0, 0,
-               static_cast<i64>(pc + static_cast<u32>(di.imm))};
-        break;
-      case Op::ADDI:
-        out = a;
-        out.offset += di.imm;
-        break;
-      case Op::ADD:
-        if (a.base == 0)
-            out = {b.base, a.rc_coeff + b.rc_coeff,
-                   a.offset + b.offset};
-        else if (b.base == 0)
-            out = {a.base, a.rc_coeff + b.rc_coeff,
-                   a.offset + b.offset};
-        else
-            out = st.fresh();
-        break;
-      case Op::SUB:
-        if (isConst(b)) {
-            out = a;
-            out.offset -= b.offset;
-        } else if (a.sameBase(b) && a.rc_coeff == b.rc_coeff) {
-            out = {0, 0, a.offset - b.offset};
-        } else {
-            out = st.fresh();
-        }
-        break;
-      case Op::SLLI:
-        if (a.base == 0 && di.imm >= 0 && di.imm < 32)
-            out = {0, a.rc_coeff << di.imm, a.offset << di.imm};
-        else
-            out = st.fresh();
-        break;
-      default:
-        out = st.fresh();
-        break;
-    }
-    st.reg[di.rd] = out;
-}
-
-/** One memory access with its reconstructed address expression. */
-struct MemAccess
-{
-    Addr pc = 0;
-    SymExpr ea;
-    u8 size = 0;
-    bool is_store = false;
-};
-
 /** Byte-range relation of a load against one store (same base). */
 enum class Overlap
 {
@@ -136,10 +36,10 @@ enum class Overlap
 };
 
 Overlap
-classifyOverlap(const SymExpr &load_ea, u8 load_size,
-                const SymExpr &store_ea, u8 store_size)
+classifyOverlap(const SymVal &load_ea, u8 load_size,
+                const SymVal &store_ea, u8 store_size)
 {
-    const i64 delta = load_ea.offset - store_ea.offset;
+    const i64 delta = load_ea.off - store_ea.off;
     if (delta >= store_size || delta + load_size <= 0)
         return Overlap::Disjoint;
     if (delta >= 0 && delta + load_size <= store_size)
@@ -149,16 +49,15 @@ classifyOverlap(const SymExpr &load_ea, u8 load_size,
 
 /** Human description of an address expression for diagnostics. */
 std::string
-describeAddr(const Program &prog, const SymExpr &e)
+describeAddr(const Program &prog, const SymVal &e)
 {
-    if (isConst(e))
-        return prog.nearestSymbol(static_cast<Addr>(e.offset));
-    if (e.rc_coeff != 0)
+    if (e.base == 0 && e.rc == 0)
+        return prog.nearestSymbol(static_cast<Addr>(e.off));
+    if (e.rc != 0)
         return detail::vformat("base+%lld*rc%+lld",
-                               static_cast<long long>(e.rc_coeff),
-                               static_cast<long long>(e.offset));
-    return detail::vformat("base%+lld",
-                           static_cast<long long>(e.offset));
+                               static_cast<long long>(e.rc),
+                               static_cast<long long>(e.off));
+    return detail::vformat("base%+lld", static_cast<long long>(e.off));
 }
 
 /**
@@ -185,8 +84,7 @@ classifyLoads(const std::vector<MemAccess> &body, unsigned cam_entries,
         dep.ea = m.ea;
         for (auto it = window.rbegin(); it != window.rend(); ++it) {
             const MemAccess &s = **it;
-            if (!m.ea.sameBase(s.ea) ||
-                m.ea.rc_coeff != s.ea.rc_coeff) {
+            if (!m.ea.sameBase(s.ea) || m.ea.rc != s.ea.rc) {
                 // Undecidable pair: the CAM may or may not match at
                 // run time, so no younger decision is provable.
                 dep.cls = LoadClass::UnknownAlias;
@@ -227,34 +125,10 @@ classifyLoads(const std::vector<MemAccess> &body, unsigned cam_entries,
     }
 }
 
-/** Collect the memory accesses of one basic block, symbolically. */
-std::vector<MemAccess>
-blockAccesses(const Cfg &cfg, const BasicBlock &bb, SymState &st)
-{
-    std::vector<MemAccess> body;
-    for (Addr pc = bb.first; pc <= bb.last; pc += 4) {
-        const auto it = cfg.insts.find(pc);
-        if (it == cfg.insts.end())
-            break;
-        const DecodedInst &di = it->second;
-        if (di.isMem()) {
-            MemAccess m;
-            m.pc = pc;
-            m.ea = st.read(di.rs1);
-            m.ea.offset += di.imm;
-            m.size = di.info().memBytes;
-            m.is_store = di.isStore();
-            body.push_back(m);
-        }
-        evalInst(st, pc, di);
-    }
-    return body;
-}
-
 /**
  * Region scope: pairwise store->load dependence tests under the
- * per-iteration address map `base + rc_coeff*rc + offset`, where rc
- * takes a different value in every pipelined thread.
+ * per-iteration address map `scale*term + rc*i + off`, where rc takes a
+ * different value in every pipelined thread.
  */
 void
 analyzeRegion(const Program &prog, const LintOptions &opt,
@@ -268,31 +142,21 @@ analyzeRegion(const Program &prog, const LintOptions &opt,
     st.seed();
     // The loop-control lane is the region's induction variable.
     if (f.rc != kRegZero && f.rc != kNoReg)
-        st.reg[f.rc] = {0, 1, 0};
+        st.reg[f.rc] = {0, 1, 1, 0, 0};
 
     RegionMemDep region;
     region.simt_s_pc = simt_s_pc;
     region.simt_e_pc = scan.simt_e_pc;
 
-    std::vector<MemAccess> body;
-    for (Addr pc = simt_s_pc + 4; pc <= scan.simt_e_pc; pc += 4) {
-        const DecodedInst di = decode(prog.word(pc));
-        if (di.isMem()) {
-            MemAccess m;
-            m.pc = pc;
-            m.ea = st.read(di.rs1);
-            m.ea.offset += di.imm;
-            m.size = di.info().memBytes;
-            m.is_store = di.isStore();
-            body.push_back(m);
-            if (m.is_store) {
-                ++region.stores_per_iter;
-                region.stores.push_back({pc, m.ea});
-            } else {
-                ++region.loads_per_iter;
-            }
+    const std::vector<MemAccess> body =
+        walkRange(st, prog, simt_s_pc + 4, scan.simt_e_pc);
+    for (const MemAccess &m : body) {
+        if (m.is_store) {
+            ++region.stores_per_iter;
+            region.stores.push_back({m.pc, m.ea});
+        } else {
+            ++region.loads_per_iter;
         }
-        evalInst(st, pc, di);
     }
 
     // Same-iteration classification (the per-thread CAM view).
@@ -309,7 +173,7 @@ analyzeRegion(const Program &prog, const LintOptions &opt,
         for (const MemAccess &l : body) {
             if (l.is_store || !l.ea.sameBase(s.ea))
                 continue;
-            if (l.ea.rc_coeff == 0 && s.ea.rc_coeff == 0) {
+            if (l.ea.rc == 0 && s.ea.rc == 0) {
                 // Both accesses hit the same fixed address in every
                 // iteration: a definite pipelined-thread race.
                 if (classifyOverlap(l.ea, l.size, s.ea, s.size) ==
@@ -330,15 +194,15 @@ analyzeRegion(const Program &prog, const LintOptions &opt,
                         "markers",
                         simt_s_pc, s.pc,
                         describeAddr(prog, l.ea).c_str()));
-            } else if (l.ea.rc_coeff != s.ea.rc_coeff ||
-                       (l.ea.offset != s.ea.offset &&
+            } else if (l.ea.rc != s.ea.rc ||
+                       (l.ea.off != s.ea.off &&
                         classifyOverlap(l.ea, l.size, s.ea, s.size) ==
                             Overlap::Disjoint)) {
                 // Same base, different stride or a non-overlapping
                 // offset gap: whether two *different* iterations
                 // collide depends on the step value, which is only
                 // known at run time.
-                if (l.ea.rc_coeff == s.ea.rc_coeff)
+                if (l.ea.rc == s.ea.rc)
                     continue;  // equal stride, disjoint offsets: the
                                // gap is constant across iterations
                 report.add(
@@ -350,8 +214,8 @@ analyzeRegion(const Program &prog, const LintOptions &opt,
                         "the simt step value, and pipelined threads "
                         "give no cross-iteration memory ordering",
                         s.pc,
-                        static_cast<long long>(s.ea.rc_coeff),
-                        static_cast<long long>(l.ea.rc_coeff)));
+                        static_cast<long long>(s.ea.rc),
+                        static_cast<long long>(l.ea.rc)));
             }
         }
     }
@@ -418,8 +282,8 @@ checkMemDep(const Cfg &cfg, const Program &prog,
         // Lanes carry unknown values at block entry: reseed so no
         // expression leaks across a control-flow join.
         st.seed();
-        const std::vector<MemAccess> body = blockAccesses(cfg, bb, st);
-        classifyLoads(body, opt.timing.mem_lane_entries, prog,
+        classifyLoads(walkRange(st, prog, bb.first, bb.last),
+                      opt.timing.mem_lane_entries, prog,
                       /*emit=*/true, out, report);
     }
     return out;

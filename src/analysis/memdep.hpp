@@ -7,7 +7,7 @@
  * hits that forwarding path is a *static* property of the address
  * expressions, because every address in a dataflow region is a short
  * base+offset chain over the lanes. This pass reconstructs those
- * chains with a light value numbering and
+ * chains with the analyzers' shared lane algebra (symval.hpp) and
  *
  *  (a) classifies each load as lane-forwardable (a covering older
  *      store in the CAM window), LSU-serialized (a partially
@@ -25,27 +25,12 @@
 
 #include "analysis/cfg.hpp"
 #include "analysis/diagnostic.hpp"
+#include "analysis/symval.hpp"
 
 namespace diag::analysis
 {
 
 struct LintOptions;
-
-/**
- * A value-numbered address expression: `term(base) + rc_coeff*rc +
- * offset`, where `base` is an opaque symbolic term (0 = "no base",
- * i.e. an absolute constant) and `rc` is the enclosing simt region's
- * loop-control register (coefficient 0 outside regions). Two
- * expressions are comparable iff they share the base term.
- */
-struct SymExpr
-{
-    u32 base = 0;      //!< opaque term id; 0 = absolute constant
-    i64 rc_coeff = 0;  //!< linear coefficient on the region's rc
-    i64 offset = 0;
-
-    bool sameBase(const SymExpr &o) const { return base == o.base; }
-};
 
 /** How a load relates to older stores on the same lane-CAM window. */
 enum class LoadClass : u8
@@ -64,14 +49,14 @@ struct LoadDep
     Addr pc = 0;                //!< the load
     Addr store_pc = 0;          //!< deciding store (0 when none)
     LoadClass cls = LoadClass::UnknownAlias;
-    SymExpr ea;                 //!< reconstructed address expression
+    SymVal ea;                  //!< reconstructed address value
 };
 
 /** One store with its reconstructed address expression. */
 struct StoreRef
 {
     Addr pc = 0;
-    SymExpr ea;
+    SymVal ea;
 };
 
 /** Memory-dependence summary of one pipelinable simt region. */

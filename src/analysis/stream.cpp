@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <map>
 #include <set>
-#include <tuple>
 
 #include "analysis/absint.hpp"
 #include "analysis/lint.hpp"
 #include "analysis/simt_scan.hpp"
+#include "analysis/symval.hpp"
 #include "common/log.hpp"
 #include "isa/decoder.hpp"
 
@@ -44,240 +44,6 @@ namespace
 {
 
 /**
- * A symbolic value: `scale*term(base) + rc_coeff*i + tid_coeff*tid +
- * offset`, where `i` is the scope's induction index (the rc lane for
- * simt regions, the iteration counter for serial loops) and `tid` is
- * the a0 lane as the scope entered it. base 0 means no opaque part.
- * This extends memdep's SymExpr with the scale (so `slli` on a based
- * value stays linear) and the tid axis.
- */
-struct SVal
-{
-    u32 base = 0;
-    i64 scale = 1;
-    i64 rc = 0;
-    i64 tid = 0;
-    i64 off = 0;
-};
-
-/** Provenance of one opaque term. */
-struct TermMeta
-{
-    unsigned depth = 0; //!< loads on the derivation chain
-    Addr feeder_pc = 0; //!< deepest producing load (0 = none)
-    u32 parent = 0;     //!< term the derivation chain continues through
-    bool invariant = true; //!< fixed across iterations of the scope
-};
-
-/** Value-numbering state over the unified lane file. */
-struct SState
-{
-    std::array<SVal, kNumRegs> reg{};
-    std::vector<TermMeta> meta{TermMeta{}}; //!< meta[0] unused
-    /** (term,scale,term,scale) -> combined term, so two computations
-     *  of the same two-base sum compare equal. */
-    std::map<std::tuple<u32, i64, u32, i64>, u32> combined;
-
-    u32
-    newTerm(const TermMeta &m)
-    {
-        meta.push_back(m);
-        return static_cast<u32>(meta.size() - 1);
-    }
-
-    /** Seed every lane with a distinct invariant term (x0 stays 0).
-     *  Term ids are assigned in register order, so two states seeded
-     *  back to back give the same register the same term id. */
-    void
-    seed()
-    {
-        for (unsigned r = 1; r < kNumRegs; ++r)
-            reg[r] = {newTerm({}), 1, 0, 0, 0};
-    }
-
-    SVal
-    read(RegId r) const
-    {
-        if (r == kNoReg || r == kRegZero)
-            return {0, 1, 0, 0, 0};
-        return reg[r];
-    }
-
-    /** The value is provably the same in every iteration/thread. */
-    bool
-    valInvariant(const SVal &v) const
-    {
-        return v.rc == 0 && v.tid == 0 &&
-               (v.base == 0 || meta[v.base].invariant);
-    }
-
-    unsigned
-    depthOf(const SVal &v) const
-    {
-        return v.base ? meta[v.base].depth : 0;
-    }
-
-    Addr
-    feederOf(const SVal &v) const
-    {
-        return v.base ? meta[v.base].feeder_pc : 0;
-    }
-
-    /** Result of an operation outside the address algebra. */
-    SVal
-    opaque(const SVal &a, const SVal &b)
-    {
-        TermMeta m;
-        const unsigned da = depthOf(a);
-        const unsigned db = depthOf(b);
-        m.depth = std::max(da, db);
-        m.feeder_pc = da >= db ? feederOf(a) : feederOf(b);
-        m.parent = da >= db ? a.base : b.base;
-        m.invariant = valInvariant(a) && valInvariant(b);
-        return {newTerm(m), 1, 0, 0, 0};
-    }
-
-    /** Combined term for `sa*term(ta) + sb*term(tb)` (ADD of two
-     *  based values), memoized for equality of repeated sums. */
-    u32
-    combine(u32 ta, i64 sa, u32 tb, i64 sb)
-    {
-        if (ta > tb || (ta == tb && sa > sb)) {
-            std::swap(ta, tb);
-            std::swap(sa, sb);
-        }
-        const auto key = std::make_tuple(ta, sa, tb, sb);
-        const auto it = combined.find(key);
-        if (it != combined.end())
-            return it->second;
-        TermMeta m;
-        const TermMeta &ma = meta[ta];
-        const TermMeta &mb = meta[tb];
-        m.depth = std::max(ma.depth, mb.depth);
-        m.feeder_pc = ma.depth >= mb.depth ? ma.feeder_pc : mb.feeder_pc;
-        m.parent = ma.depth >= mb.depth ? ta : tb;
-        m.invariant = ma.invariant && mb.invariant;
-        const u32 t = newTerm(m);
-        combined.emplace(key, t);
-        return t;
-    }
-
-    /** Bottom of the derivation chain (a seed term). */
-    u32
-    chainRoot(u32 t) const
-    {
-        while (t != 0 && meta[t].parent != 0)
-            t = meta[t].parent;
-        return t;
-    }
-};
-
-/**
- * Transfer function for non-load instructions: the address-forming
- * subset stays linear, everything else mints an opaque term that
- * remembers depth/feeder/invariance.
- */
-void
-evalNonLoad(SState &st, Addr pc, const DecodedInst &di)
-{
-    if (!di.writesReg())
-        return;
-    const SVal a = st.read(di.rs1);
-    const SVal b = st.read(di.rs2);
-    SVal out;
-    switch (di.op) {
-      case Op::LUI:
-        out = {0, 1, 0, 0, static_cast<i64>(static_cast<u32>(di.imm))};
-        break;
-      case Op::AUIPC:
-        out = {0, 1, 0, 0,
-               static_cast<i64>(pc + static_cast<u32>(di.imm))};
-        break;
-      case Op::ADDI:
-        out = a;
-        out.off += di.imm;
-        break;
-      case Op::ADD:
-        if (a.base == 0)
-            out = {b.base, b.scale, a.rc + b.rc, a.tid + b.tid,
-                   a.off + b.off};
-        else if (b.base == 0)
-            out = {a.base, a.scale, a.rc + b.rc, a.tid + b.tid,
-                   a.off + b.off};
-        else
-            out = {st.combine(a.base, a.scale, b.base, b.scale), 1,
-                   a.rc + b.rc, a.tid + b.tid, a.off + b.off};
-        break;
-      case Op::SUB:
-        if (b.base == 0) {
-            out = a;
-            out.rc -= b.rc;
-            out.tid -= b.tid;
-            out.off -= b.off;
-        } else if (a.base == b.base && a.scale == b.scale) {
-            out = {0, 1, a.rc - b.rc, a.tid - b.tid, a.off - b.off};
-        } else {
-            out = st.opaque(a, b);
-        }
-        break;
-      case Op::SLLI:
-        if (di.imm >= 0 && di.imm < 32)
-            out = {a.base, a.scale << di.imm, a.rc << di.imm,
-                   a.tid << di.imm, a.off << di.imm};
-        else
-            out = st.opaque(a, b);
-        break;
-      default:
-        out = st.opaque(a, b);
-        break;
-    }
-    st.reg[di.rd] = out;
-}
-
-/** One memory access with its reconstructed address value. */
-struct RawAccess
-{
-    Addr pc = 0;
-    SVal ea;
-    u8 size = 0;
-    bool is_store = false;
-};
-
-/**
- * Walk [first, last], collecting accesses and updating @p st. A load
- * mints a non-invariant term one level deeper than its address, with
- * the load pc as feeder — the backbone of indirect/chase detection.
- */
-std::vector<RawAccess>
-walkRange(SState &st, const Program &prog, Addr first, Addr last)
-{
-    std::vector<RawAccess> body;
-    for (Addr pc = first; pc <= last; pc += 4) {
-        const DecodedInst di = decode(prog.word(pc));
-        if (di.isMem()) {
-            RawAccess ra;
-            ra.pc = pc;
-            ra.ea = st.read(di.rs1);
-            ra.ea.off += di.imm;
-            ra.size = di.info().memBytes;
-            ra.is_store = di.isStore();
-            body.push_back(ra);
-            if (di.isLoad() && di.writesReg()) {
-                TermMeta m;
-                m.depth = st.depthOf(ra.ea) + 1;
-                m.feeder_pc = pc;
-                m.parent = ra.ea.base;
-                m.invariant = false;
-                st.reg[di.rd] = {st.newTerm(m), 1, 0, 0, 0};
-            }
-            continue;
-        }
-        evalNonLoad(st, pc, di);
-    }
-    return body;
-}
-
-/**
  * Classify one access's address value against the lattice. @p kinds
  * maps already-classified load pcs (program order guarantees a feeder
  * load precedes its consumers); @p chase_seeds holds seed terms of
@@ -285,7 +51,7 @@ walkRange(SState &st, const Program &prog, Addr first, Addr last)
  * forbids loop-carried register dependences).
  */
 StreamKind
-classify(const SState &st, const SVal &ea,
+classify(const SymState &st, const SymVal &ea,
          const std::set<u32> &chase_seeds,
          const std::map<Addr, StreamKind> &kinds, Addr *feeder_out)
 {
@@ -314,7 +80,7 @@ classify(const SState &st, const SVal &ea,
  * so far (feeder lookup for the Index prefetch class).
  */
 StreamInfo
-makeStream(const SState &st, const RawAccess &ra, bool step_known,
+makeStream(const SymState &st, const MemAccess &ra, bool step_known,
            i64 step, bool trips_known, u64 trips,
            const LintOptions &opt, const std::set<u32> &chase_seeds,
            const std::map<Addr, StreamKind> &kinds,
@@ -500,7 +266,7 @@ analyzeRegion(const Program &prog, const LintOptions &opt,
             rs.straightline = false;
     }
 
-    SState st;
+    SymState st;
     st.seed();
     // a0 is the launch frame's thread-id lane; its coefficient is the
     // region's tid*tstride axis (constant within one region entry, so
@@ -511,13 +277,13 @@ analyzeRegion(const Program &prog, const LintOptions &opt,
     if (scan.fields.rc != kRegZero && scan.fields.rc != kNoReg)
         st.reg[scan.fields.rc] = {0, 1, 1, 0, 0};
 
-    const std::vector<RawAccess> body =
+    const std::vector<MemAccess> body =
         walkRange(st, prog, simt_s_pc + 4, scan.simt_e_pc);
 
     const std::set<u32> no_chase;
     std::map<Addr, StreamKind> kinds;
     std::map<Addr, StreamInfo> by_pc;
-    for (const RawAccess &ra : body) {
+    for (const MemAccess &ra : body) {
         const StreamInfo si =
             makeStream(st, ra, rs.step_known, rs.step, rs.trips_known,
                        rs.trips, opt, no_chase, kinds, by_pc);
@@ -577,13 +343,10 @@ analyzeLoop(const Cfg &cfg, const Program &prog, const LintOptions &opt,
             return; // only single-block do-while loops are analyzable
     }
 
-    // Pass 1: induction / chase discovery. seed() assigns term ids in
-    // register order, so pass-2 seed terms coincide with these.
-    SState st1;
+    // Pass 1: induction / chase discovery. seed() gives register r
+    // term r in both passes, so term r names r's value at loop entry.
+    SymState st1;
     st1.seed();
-    std::array<u32, kNumRegs> seed_term{};
-    for (unsigned r = 1; r < kNumRegs; ++r)
-        seed_term[r] = st1.reg[r].base;
     walkRange(st1, prog, head, tail);
 
     std::array<i64, kNumRegs> delta{};
@@ -591,18 +354,17 @@ analyzeLoop(const Cfg &cfg, const Program &prog, const LintOptions &opt,
     std::array<bool, kNumRegs> varying{};
     std::set<u32> chase_seeds;
     for (unsigned r = 1; r < kNumRegs; ++r) {
-        const SVal &f = st1.reg[r];
-        if (f.base == seed_term[r] && f.scale == 1 && f.rc == 0 &&
-            f.tid == 0) {
+        const SymVal &f = st1.reg[r];
+        if (f.base == r && f.scale == 1 && f.rc == 0 && f.tid == 0) {
             if (f.off != 0) {
                 induct[r] = true;
                 delta[r] = f.off;
             }
         } else if (f.base != 0 && st1.meta[f.base].depth >= 1 &&
-                   st1.chainRoot(f.base) == seed_term[r]) {
+                   st1.chainRoot(f.base) == r) {
             // The register's next value is loaded through its own
             // previous value: a pointer-chase recurrence.
-            chase_seeds.insert(seed_term[r]);
+            chase_seeds.insert(r);
         } else {
             // Updated per iteration, but neither a constant-offset
             // induction nor a self-rooted chase: register-stride
@@ -620,22 +382,22 @@ analyzeLoop(const Cfg &cfg, const Program &prog, const LintOptions &opt,
     // combined term whose chain root is the *other* operand — so
     // anything derived from either classifies Unknown rather than
     // falsely loop-invariant Affine.
-    SState st;
+    SymState st;
     st.seed();
     for (unsigned r = 1; r < kNumRegs; ++r) {
         if (induct[r])
             st.reg[r].rc = delta[r];
-        else if (varying[r] || chase_seeds.count(seed_term[r]))
-            st.meta[st.reg[r].base].invariant = false;
+        else if (varying[r] || chase_seeds.count(r))
+            st.meta[r].invariant = false;
     }
-    const std::vector<RawAccess> body = walkRange(st, prog, head, tail);
+    const std::vector<MemAccess> body = walkRange(st, prog, head, tail);
 
     LoopStreams ls;
     ls.head = head;
     ls.tail = tail;
     std::map<Addr, StreamKind> kinds;
     std::map<Addr, StreamInfo> by_pc;
-    for (const RawAccess &ra : body) {
+    for (const MemAccess &ra : body) {
         const StreamInfo si = makeStream(
             st, ra, /*step_known=*/true, /*step=*/1,
             /*trips_known=*/false, 0, opt, chase_seeds, kinds, by_pc);

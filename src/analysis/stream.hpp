@@ -5,11 +5,12 @@
  * The paper's stall breakdown puts memory at 73.6 % of lost cycles
  * (§7.2); a stream prefetch/access layer needs to know, *statically*,
  * which address streams a region generates. This pass derives a
- * symbolic address map per memory instruction — extending the memdep
- * value numbering with a base-term scale, a thread-id coefficient, and
- * load-derivation depth — and resolves the map's free parameters (the
- * simt step, trip count, and address phase) against the diag-verify
- * abstract-interpretation fixpoint. Each access is classified as
+ * symbolic address map per memory instruction with the analyzers'
+ * shared lane algebra (symval.hpp), seeding its thread-id axis and
+ * reading its load-derivation depth, and resolves the map's free
+ * parameters (the simt step, trip count, and address phase) against
+ * the diag-verify abstract-interpretation fixpoint. Each access is
+ * classified as
  *
  *  - **affine**: `base + i*stride + tid*tstride` with the base value
  *    fixed for the whole region entry (prefetchable by a stride

@@ -342,6 +342,59 @@ TEST(VerifyRace, CarriedFixedAddressRaceIsRefuted)
     EXPECT_FALSE(r.clean());
 }
 
+TEST(VerifyRace, ScaledSeedTermResolvesThroughEntryState)
+{
+    // 4*s2 is a scaled seed term; s2 is 0x40000 at simt_s, so the
+    // store slots [0x100000, 0x10003c] resolve to absolute addresses
+    // and miss the fixed cell every thread loads.
+    const VerifyResult r = verify(R"(
+    _start:
+        li s2, 0x40000
+        li a2, 0
+        li a3, 8
+        li a4, 64
+    head:
+        simt_s a2, a3, a4, 1
+        slli t5, s2, 2
+        add t5, t5, a2
+        li t6, 7
+        sw t6, 0(t5)
+        li t3, 0x100000
+        lw t4, 128(t3)
+        simt_e a2, a4, head
+        ebreak
+)",
+                                  withDataWindow());
+    ASSERT_EQ(r.regions.size(), 1u);
+    EXPECT_EQ(r.regions[0].race, Verdict::Proven);
+}
+
+TEST(VerifyRace, OneTermAtTwoScalesIsIncomparable)
+{
+    // s2 is unknown at simt_s: the store through 4*s2 and the load
+    // through s2 share a term but not a scale, so no pair verdict.
+    const VerifyResult r = verify(R"(
+    _start:
+        li s0, 0x100000
+        lw s2, 0(s0)
+        li a2, 0
+        li a3, 8
+        li a4, 64
+    head:
+        simt_s a2, a3, a4, 1
+        slli t5, s2, 2
+        add t5, t5, a2
+        li t6, 7
+        sw t6, 0(t5)
+        lw t4, 0(s2)
+        simt_e a2, a4, head
+        ebreak
+)",
+                                  withDataWindow());
+    ASSERT_EQ(r.regions.size(), 1u);
+    EXPECT_EQ(r.regions[0].race, Verdict::Unknown);
+}
+
 // ---------------------------------------------------------------------
 // Deadlock freedom / token conservation: proven count and livelock.
 // ---------------------------------------------------------------------
