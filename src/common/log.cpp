@@ -1,6 +1,5 @@
 #include "common/log.hpp"
 
-#include <atomic>
 #include <cstdarg>
 #include <cstdio>
 #include <mutex>
@@ -10,10 +9,6 @@ namespace diag
 
 namespace
 {
-
-/** Relaxed is enough: verbosity is configured before any host worker
- *  threads exist, and a stale read only mislabels one line. */
-std::atomic<bool> g_verbose{false};
 
 /** Serializes stderr writes so host-parallel workers (fault-campaign
  *  trials, sweep cells) emit whole lines, never interleaved bytes. */
@@ -25,18 +20,6 @@ ioMutex()
 }
 
 } // namespace
-
-void
-setVerbose(bool verbose)
-{
-    g_verbose.store(verbose, std::memory_order_relaxed);
-}
-
-bool
-verbose()
-{
-    return g_verbose.load(std::memory_order_relaxed);
-}
 
 namespace detail
 {
@@ -87,8 +70,6 @@ warnImpl(const std::string &msg)
 void
 informImpl(const std::string &msg)
 {
-    if (!verbose())
-        return;
     const std::lock_guard<std::mutex> lk(ioMutex());
     std::fprintf(stderr, "info: %s\n", msg.c_str());
 }

@@ -33,13 +33,6 @@ void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 } // namespace detail
 
-/** Global verbosity switch for inform(); warnings always print.
- *  Configure it before spawning host workers — flipping it while
- *  workers log is safe (the flag is atomic) but which in-flight lines
- *  see the change is unspecified. */
-void setVerbose(bool verbose);
-bool verbose();
-
 } // namespace diag
 
 /**
@@ -61,14 +54,9 @@ bool verbose();
 #define warn(...) \
     ::diag::detail::warnImpl(::diag::detail::vformat(__VA_ARGS__))
 
-/** Report normal operating status (suppressed unless verbose; the
- *  format arguments are not evaluated when verbosity is off). */
+/** Report normal operating status; callers decide whether to narrate. */
 #define inform(...) \
-    do { \
-        if (::diag::verbose()) \
-            ::diag::detail::informImpl( \
-                ::diag::detail::vformat(__VA_ARGS__)); \
-    } while (0)
+    ::diag::detail::informImpl(::diag::detail::vformat(__VA_ARGS__))
 
 /** panic() unless @p cond holds. */
 #define panic_if(cond, ...) \

@@ -391,13 +391,6 @@ Ring::activate(ThreadState &t, const Resident &got, ActivationOutput &act)
         trc_->activation(static_cast<u8>(index_),
                          static_cast<u16>(cl.index), t.pc, in.min_start,
                          act.end_cycle, got.reused, act.retired);
-    inform("ring%u act cl%u pc=0x%x..0x%x start=%llu done=%llu "
-           "retired=%llu exit=%d%s",
-           index_, cl.index, t.pc, act.exit_pc,
-           static_cast<unsigned long long>(in.min_start),
-           static_cast<unsigned long long>(act.compute_done),
-           static_cast<unsigned long long>(act.retired),
-           static_cast<int>(act.exit), got.reused ? " [reuse]" : "");
     // The cluster accepts the next (speculative) activation once its
     // PEs finished executing; the retire sweep (pc_exit) can trail
     // behind.
@@ -738,13 +731,6 @@ Ring::runSimtPipeline(const SimtRegion &region, Addr simt_s_pc,
                                 in.min_start, act.end_cycle, k);
                 trc_->retired(act.end_cycle, act.retired);
             }
-            inform("simt thread %llu stage cl%u: launch=%llu "
-                   "min_start=%llu end=%llu exit=%d",
-                   static_cast<unsigned long long>(k), cl.index,
-                   static_cast<unsigned long long>(launch),
-                   static_cast<unsigned long long>(in.min_start),
-                   static_cast<unsigned long long>(act.end_cycle),
-                   static_cast<int>(act.exit));
             cl.free_at = act.end_cycle;
             cl.last_use = ++use_counter_;
             t.retired += act.retired;

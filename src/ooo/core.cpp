@@ -363,14 +363,6 @@ OooCore::runThread(Addr entry, const sim::InitRegs &init_regs,
         last_commit = commit;
         commit_hist[i % cfg_.rob_entries] = commit;
         issue_hist[i % cfg_.iq_entries] = issue;
-        inform("ooo i=%llu pc=0x%x f=%llu d=%llu iss=%llu c=%llu "
-               "commit=%llu",
-               static_cast<unsigned long long>(i), pc,
-               static_cast<unsigned long long>(fetched),
-               static_cast<unsigned long long>(dispatch),
-               static_cast<unsigned long long>(issue),
-               static_cast<unsigned long long>(complete),
-               static_cast<unsigned long long>(commit));
         ++res.retired;
 
         if (halt) {

@@ -1,9 +1,10 @@
 /** Host-parallel campaign tests: the trial cycle-budget fix (max, not
- *  min), byte-identical reports across --jobs, and per-trial seeding
- *  from (campaign seed, trial index) only. */
+ *  min), byte-identical reports across --jobs, per-trial seeding from
+ *  (campaign seed, trial index) only, and the per-trial narration. */
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "fault/campaign.hpp"
 
@@ -116,4 +117,26 @@ TEST(CampaignParallel, TrialSeedsDependOnlyOnCampaignSeedAndIndex)
             << "trial " << i;
         EXPECT_EQ(a.trials[i].site, b.trials[i].site) << "trial " << i;
     }
+}
+
+TEST(CampaignVerbose, NarratesEveryTrial)
+{
+    // diag-fault --verbose promises one line per trial. At jobs = 1
+    // every trial runs on this thread, so all of them are captured.
+    CampaignSpec spec;
+    spec.workload = "nn";
+    spec.trials = 4;
+    spec.jobs = 1;
+    const auto infoLines = [&](bool verbose) {
+        testing::internal::CaptureStderr();
+        runCampaign(spec, verbose);
+        const std::string err = testing::internal::GetCapturedStderr();
+        size_t n = 0;
+        for (size_t at = err.find("info: trial "); at != std::string::npos;
+             at = err.find("info: trial ", at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(infoLines(true), spec.trials);
+    EXPECT_EQ(infoLines(false), 0u);
 }

@@ -1,10 +1,7 @@
-/** Harness utility tests: table rendering, geomean, config presets,
- *  host cancellation on both engines, and the verbose trace
- *  facility. */
+/** Harness utility tests: table rendering, geomean, config presets
+ *  and host cancellation on both engines. */
 #include <gtest/gtest.h>
 
-#include "asm/assembler.hpp"
-#include "common/log.hpp"
 #include "diag/processor.hpp"
 #include "harness/runner.hpp"
 #include "harness/table.hpp"
@@ -84,26 +81,4 @@ TEST(Harness, ExpiredTokenStopsBothEngines)
         EXPECT_EQ(run.stats.stop_reason,
                   "thread 0: host watchdog: host deadline exceeded");
     }
-}
-
-TEST(Harness, VerboseTraceEmitsActivations)
-{
-    // The trace facility must not perturb results.
-    const Program p = assembler::assemble(R"(
-        _start:
-            li a0, 0
-            li a1, 10
-        loop:
-            addi a0, a0, 1
-            bne a0, a1, loop
-            ebreak
-    )");
-    core::DiagProcessor quiet(core::DiagConfig::f4c2());
-    const sim::RunStats a = quiet.run(p);
-    setVerbose(true);
-    core::DiagProcessor loud(core::DiagConfig::f4c2());
-    const sim::RunStats b = loud.run(p);
-    setVerbose(false);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
 }
