@@ -68,14 +68,6 @@ struct Cfg
     std::map<Addr, unsigned> leader_index;
 
     bool reachable(Addr pc) const { return insts.count(pc) != 0; }
-
-    /** The block whose leader is @p pc, or nullptr. */
-    const BasicBlock *
-    blockAt(Addr pc) const
-    {
-        auto it = leader_index.find(pc);
-        return it == leader_index.end() ? nullptr : &blocks[it->second];
-    }
 };
 
 /**

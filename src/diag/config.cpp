@@ -67,13 +67,4 @@ DiagConfig::f4c32()
     return c;
 }
 
-DiagConfig
-DiagConfig::f4c32MultiRing()
-{
-    DiagConfig c = f4c32();
-    c.name = "F4C32-16x2";
-    c.num_rings = 16;
-    return c;
-}
-
 } // namespace diag::core

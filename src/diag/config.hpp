@@ -94,12 +94,6 @@ struct DiagConfig
     static DiagConfig f4c2();   //!< RV32IMF, 2 clusters, 32 PEs
     static DiagConfig f4c16();  //!< RV32IMF, 16 clusters, 256 PEs
     static DiagConfig f4c32();  //!< RV32IMF, 32 clusters, 512 PEs
-
-    /**
-     * The paper's multi-thread arrangement (§7.2.1): "16-by-2 format",
-     * each thread on a dataflow ring with two clusters to alternate.
-     */
-    static DiagConfig f4c32MultiRing();
 };
 
 } // namespace diag::core

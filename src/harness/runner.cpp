@@ -138,7 +138,10 @@ diagSingleThreadConfigs()
 core::DiagConfig
 diagMultiThreadConfig()
 {
-    return core::DiagConfig::f4c32MultiRing();
+    core::DiagConfig cfg = core::DiagConfig::f4c32();
+    cfg.name = "F4C32-16x2";
+    cfg.num_rings = 16;
+    return cfg;
 }
 
 core::DiagConfig

@@ -123,7 +123,10 @@ std::vector<EngineRun> runMatrix(const std::vector<MatrixCell> &cells,
 /** DiAG single-thread configs for Fig. 9a/10a: F4C2/F4C16/F4C32. */
 std::vector<core::DiagConfig> diagSingleThreadConfigs();
 
-/** The paper's multithread arrangement: 16 rings x 2 clusters. */
+/**
+ * The paper's multi-thread arrangement (§7.2.1): "16-by-2 format",
+ * each thread on a dataflow ring with two clusters to alternate.
+ */
 core::DiagConfig diagMultiThreadConfig();
 
 /**

@@ -75,7 +75,6 @@ class GoldenSim
     }
 
     Addr pc() const { return pc_; }
-    void setPc(Addr pc) { pc_ = pc; }
     bool halted() const { return halted_; }
 
     SparseMemory &memory() { return mem_; }

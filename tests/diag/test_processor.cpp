@@ -6,6 +6,7 @@
 
 #include "asm/assembler.hpp"
 #include "diag/processor.hpp"
+#include "harness/runner.hpp"
 #include "sim/golden.hpp"
 
 using namespace diag;
@@ -304,7 +305,7 @@ TEST(DiagProcessor, MultiThreadedRings)
     )";
     const Program p = asmProgram(src);
 
-    DiagProcessor proc(DiagConfig::f4c32MultiRing());
+    DiagProcessor proc(harness::diagMultiThreadConfig());
     proc.loadProgram(p);
     // arr[i] = i
     for (u32 i = 0; i < 128; ++i)
