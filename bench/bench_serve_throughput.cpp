@@ -14,12 +14,12 @@
  */
 #include <benchmark/benchmark.h>
 
-// Same bar as bench_sim_speed: throughput from an unoptimized build
-// is not a measurement. Opt in explicitly to compile one anyway.
-#if !defined(__OPTIMIZE__) && !defined(DIAG_ALLOW_DEBUG_BENCH)
+// Throughput from an unoptimized build is not a measurement. A Debug
+// configure does not define this target; this catches any other flag
+// set without optimization.
+#if !defined(__OPTIMIZE__)
 #error "bench_serve_throughput requires an optimized build: configure \
-with -DCMAKE_BUILD_TYPE=Release (or pass -DDIAG_ALLOW_DEBUG_BENCH=ON \
-to measure a debug build anyway)"
+with -DCMAKE_BUILD_TYPE=Release"
 #endif
 
 #include <vector>

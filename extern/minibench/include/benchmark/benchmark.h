@@ -17,13 +17,13 @@
  * Counter::kIsRate (rate = value / total CPU seconds, or / wall-clock
  * seconds under ->UseRealTime(), matching google-benchmark),
  * BENCHMARK()->Arg()->UseRealTime() registration, DoNotOptimize,
- * AddCustomContext, Initialize / ReportUnrecognizedArguments /
- * RunSpecifiedBenchmarks / Shutdown, BENCHMARK_MAIN, and the
- * --benchmark_filter / --benchmark_min_time / --benchmark_out /
- * --benchmark_out_format=json / --benchmark_list_tests flags. The JSON
- * reporter emits the same schema google-benchmark emits (context block
- * with host info and caches, one object per run) so downstream tooling
- * and committed BENCH_*.json artifacts keep their shape.
+ * Initialize / ReportUnrecognizedArguments / RunSpecifiedBenchmarks /
+ * Shutdown, BENCHMARK_MAIN, and the --benchmark_filter /
+ * --benchmark_min_time / --benchmark_out / --benchmark_out_format=json
+ * / --benchmark_list_tests flags. The JSON reporter emits the same
+ * schema google-benchmark emits (context block with host info and
+ * caches, one object per run) so downstream tooling and committed
+ * BENCH_*.json artifacts keep their shape.
  */
 #ifndef MINIBENCH_BENCHMARK_H
 #define MINIBENCH_BENCHMARK_H
@@ -215,9 +215,6 @@ DoNotOptimize(Tp &value)
 {
     asm volatile("" : "+r,m"(value) : : "memory");
 }
-
-/** Append a (key, value) pair to the reported context block. */
-void AddCustomContext(const std::string &key, const std::string &value);
 
 /** Parse and consume recognized --benchmark_* flags from argv. */
 void Initialize(int *argc, char **argv);

@@ -42,13 +42,6 @@ flags()
     return f;
 }
 
-std::vector<std::pair<std::string, std::string>> &
-customContext()
-{
-    static std::vector<std::pair<std::string, std::string>> ctx;
-    return ctx;
-}
-
 // ---- clocks ----
 double
 clockSeconds(clockid_t id)
@@ -404,9 +397,6 @@ writeJson(std::ostream &os, const std::vector<Runner::Result> &results)
 #else
     os << "    \"library_build_type\": \"debug\"";
 #endif
-    for (const auto &[k, v] : customContext())
-        os << ",\n    \"" << jsonEscape(k) << "\": \"" << jsonEscape(v)
-           << "\"";
     os << "\n  },\n";
     os << "  \"benchmarks\": [\n";
     for (size_t i = 0; i < results.size(); ++i) {
@@ -460,12 +450,6 @@ printConsole(const Runner::Result &r)
 } // namespace
 
 // ---- public API ----
-
-void
-AddCustomContext(const std::string &key, const std::string &value)
-{
-    customContext().emplace_back(key, value);
-}
 
 void
 Initialize(int *argc, char **argv)

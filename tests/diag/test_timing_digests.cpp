@@ -348,7 +348,8 @@ kernel(const std::string &key, const std::string &src)
 
 TEST(SkipIdleEquivalence, SteadyAluLoop)
 {
-    // The bench_sim_speed kernel: long counted loop, pure ALU.
+    // A long counted loop, pure ALU: the steady state of a resident
+    // loop with no memory, FP or simt traffic.
     kernel("steady_alu", R"(
         _start:
             li a0, 0

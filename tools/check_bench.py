@@ -1,23 +1,29 @@
 #!/usr/bin/env python3
-"""Gate simulator-throughput benchmark results (CI bench smoke).
+"""Gate simulator throughput on the real suite (CI perfbench smoke).
 
-Reads a bench_sim_speed --benchmark_out JSON file and fails (exit 1)
-when:
-  * the timing library self-reports a debug build (the numbers would
-    measure the library, not the simulator),
-  * the simulator under test was not optimized,
-  * BM_DiagModel's sim_inst_per_s falls below DIAG_FLOOR (guards the
-    DiAG activation path's per-activation cost), or
-  * BM_OooModel's sim_inst_per_s falls below OOO_FLOOR (guards the
-    OoO baseline's per-instruction path: no string-keyed counters,
-    binary-search resource calendars).
+Reads a traced perfbench suite report, the stdout of
+
+  python3 perfbench/run.py --workload suite --seconds 0 --passes 1 \\
+      --trace 1
+
+(every Fig 9a/9b/10a/10b/12 cell once, on the 20 real kernels), and
+fails (exit 1) when:
+  * the build is not a Release, optimized one (the rates would measure
+    the compiler, not the simulator),
+  * any operation failed (a cell did not halt or pass its check),
+  * diag.minst_per_s falls below DIAG_FLOOR (guards the DiAG
+    activation path), or
+  * ooo.minst_per_s falls below OOO_FLOOR (guards the OoO baseline's
+    per-instruction path: no string-keyed counters, binary-search
+    resource calendars).
 
 With --trajectory, additionally validates the accumulated
-BENCH_trajectory.json (see tools/bench_trajectory.py) against its
-schema, so a malformed append fails the bench smoke rather than
-rotting silently; an absent trajectory file is tolerated.
+BENCH_trajectory.json (see tools/bench_trajectory.py, which also owns
+the report parser) against its schema, so a malformed append fails
+the gate rather than rotting silently; an absent trajectory file is
+tolerated.
 
-Usage: check_bench.py BENCH_sim_speed.json [--trajectory FILE]
+Usage: check_bench.py REPORT [--trajectory FILE]
 """
 
 import argparse
@@ -27,15 +33,13 @@ import sys
 
 import bench_trajectory
 
-# BM_DiagModel runs every iteration of the bench loop through the
-# activation engine: 9.2-22M inst/s on a 4-CPU host (Release), the
-# spread coming from other load on the host. The floor is half the
-# lowest rate, so it catches a change that doubles the host cost of one
-# loop activation; smaller drifts show up in BENCH_trajectory.json.
-DIAG_FLOOR = 4.6e6
-# BM_OooModel runs at 5.4-6.0M inst/s on a 4-CPU host; string-keyed
-# counters or linear-scan calendars on its hot path put it near 0.9M.
-OOO_FLOOR = 3.0e6
+# Floors in Minst/s, each half the lowest rate of 7 traced suite
+# passes of a Release build on a shared 4-CPU host (DiAG 8.24-11.19,
+# OoO 4.51-6.12; the spread is load from other tenants): a change
+# that doubles an engine's host cost per simulated instruction fails,
+# and smaller drifts show up in BENCH_trajectory.json.
+DIAG_FLOOR = 4.1
+OOO_FLOOR = 2.2
 
 
 def fail(msg: str) -> None:
@@ -45,7 +49,7 @@ def fail(msg: str) -> None:
 
 def main() -> None:
     ap = argparse.ArgumentParser()
-    ap.add_argument("bench_json")
+    ap.add_argument("report")
     ap.add_argument("--trajectory", default=None,
                     help="also validate this BENCH_trajectory.json "
                          "(absent file tolerated)")
@@ -63,31 +67,22 @@ def main() -> None:
         print(f"check_bench: trajectory {args.trajectory} valid "
               f"({len(tdoc['records'])} records)")
 
-    with open(args.bench_json) as f:
-        doc = json.load(f)
+    try:
+        report = bench_trajectory.read_suite_report(args.report)
+    except ValueError as e:
+        fail(f"{args.report}: {e}")
+    err = bench_trajectory.measurement_error(report)
+    if err:
+        fail(f"{args.report}: {err}")
 
-    ctx = doc.get("context", {})
-    if ctx.get("library_build_type") != "release":
-        fail(f"timing library built as "
-             f"'{ctx.get('library_build_type')}' — numbers are not a "
-             f"measurement (need a Release build of the bench tree)")
-    if ctx.get("diag_optimized") == "false":
-        fail("simulator under test compiled without optimization")
-
-    rates = {}
-    for run in doc.get("benchmarks", []):
-        if "sim_inst_per_s" in run:
-            rates[run["name"]] = run["sim_inst_per_s"]
-
-    for name, floor in (("BM_DiagModel", DIAG_FLOOR),
-                        ("BM_OooModel", OOO_FLOOR)):
-        rate = rates.get(name)
-        if rate is None:
-            fail(f"{name} missing from the benchmark output")
-        print(f"check_bench: {name:<13} {rate:.3e} inst/s "
-              f"(floor {floor:.3e})")
+    for name, floor in (("diag.minst_per_s", DIAG_FLOOR),
+                        ("ooo.minst_per_s", OOO_FLOOR)):
+        rate = report["rates"][name]
+        print(f"check_bench: {name:<17} {rate:7.3f} Minst/s "
+              f"(floor {floor:.3f})")
         if rate < floor:
-            fail(f"{name} {rate:.3e} inst/s below the {floor:.3e} floor")
+            fail(f"{name} {rate:.3f} Minst/s below the {floor:.3f} "
+                 f"floor")
     print("check_bench: PASS")
 
 
