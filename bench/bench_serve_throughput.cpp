@@ -56,7 +56,7 @@ BM_ServeThroughputCached(benchmark::State &state)
     u64 id = 1;
     u64 served = 0;
     const unsigned kBatch = 64;
-    for (auto _ : state) {
+    for ([[maybe_unused]] auto _ : state) {
         std::vector<serve::SimService::Ticket> tickets;
         tickets.reserve(kBatch);
         for (unsigned i = 0; i < kBatch; ++i)
@@ -83,7 +83,7 @@ BM_ServeThroughputUncached(benchmark::State &state)
     u64 id = 1;
     u64 served = 0;
     const unsigned kBatch = 4;
-    for (auto _ : state) {
+    for ([[maybe_unused]] auto _ : state) {
         std::vector<serve::SimService::Ticket> tickets;
         tickets.reserve(kBatch);
         for (unsigned i = 0; i < kBatch; ++i)
@@ -108,7 +108,7 @@ BM_SoakReplay(benchmark::State &state)
     spec.faults.stall_pct = 5;
     spec.faults.corrupt_pct = 30;
     u64 replayed = 0;
-    for (auto _ : state) {
+    for ([[maybe_unused]] auto _ : state) {
         const serve::SoakReport rep = serve::runSoak(spec);
         benchmark::DoNotOptimize(rep.ok);
         replayed += rep.requests;

@@ -29,7 +29,7 @@ inImage(const Program &prog, Addr pc)
 /** Statically-known successors of one instruction. */
 struct Succs
 {
-    Addr target[2];
+    Addr target[2] = {};
     unsigned n = 0;
     bool unknown = false;      //!< indirect transfer (jalr)
     bool fallthrough = false;  //!< target[i] == pc + 4 present

@@ -553,8 +553,9 @@ compareScans(const Program &prog, const std::string &label)
         EXPECT_EQ(stat.ok(), dyn.ok)
             << label << " simt_s at 0x" << std::hex << pc << " static "
             << simtScanStatusName(stat.status);
-        if (stat.ok() && dyn.ok)
+        if (stat.ok() && dyn.ok) {
             EXPECT_EQ(stat.simt_e_pc, dyn.simt_e_pc) << label;
+        }
     }
     return regions;
 }
