@@ -25,7 +25,7 @@ main(int argc, char **argv)
     for (unsigned clusters : cluster_counts) {
         DiagConfig cfg = DiagConfig::f4c32();
         cfg.total_clusters = clusters;
-        cfg.name = "F4C" + std::to_string(clusters);
+        cfg.name = "F4C32-c" + std::to_string(clusters);
         cfgs.push_back(cfg);
     }
     const auto runs = bench::runGrid(suite, cfgs, jobs);

@@ -15,6 +15,6 @@ main(int argc, char **argv)
     diag::bench::relPerfMultiThread(
         "Fig 10b: SPEC multithreaded relative performance "
         "(12-core baseline = 1.0)",
-        diag::workloads::specSuite(), 0.97, 1.15, jobs);
+        "fig10b", jobs);
     return 0;
 }

@@ -15,6 +15,6 @@ main(int argc, char **argv)
     diag::bench::relPerfSingleThread(
         "Fig 9a: Rodinia single-thread relative performance "
         "(baseline = 1.0)",
-        diag::workloads::rodiniaSuite(), 0.91, 1.12, 1.12, jobs);
+        "fig9a", jobs);
     return 0;
 }

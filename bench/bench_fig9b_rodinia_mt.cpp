@@ -16,6 +16,6 @@ main(int argc, char **argv)
     diag::bench::relPerfMultiThread(
         "Fig 9b: Rodinia multithreaded relative performance "
         "(12-core baseline = 1.0)",
-        diag::workloads::rodiniaSuite(), 0.95, 1.20, jobs);
+        "fig9b", jobs);
     return 0;
 }

@@ -4,6 +4,8 @@
  * and energy-breakdown binaries. Each one runs a workload suite on the
  * OoO baseline and/or a set of DiAG configurations and prints the
  * tables the paper reports (relative series with baseline = 1.0).
+ * The Fig 9a/9b/10a/10b/12 benches take their cells and series from
+ * the paper table, harness::paperCells(), and print its values.
  *
  * Every engine run is one harness::runMatrix cell, fanned out onto
  * host worker threads (--jobs N, default one per hardware thread);
@@ -14,6 +16,7 @@
 #define DIAG_BENCH_FIG_COMMON_HPP
 
 #include <cstdio>
+#include <functional>
 #include <initializer_list>
 #include <iterator>
 #include <optional>
@@ -89,109 +92,79 @@ runGrid(const std::vector<workloads::Workload> &suite,
     return runs;
 }
 
+/**
+ * Run @p figure's series from the paper table, each cell once through
+ * one harness::runMatrix call on @p jobs host threads, and print a row
+ * per workload: each series' ratio ("-" where the series has no cell
+ * of its own and its fallback stood in), then @p extra's column when
+ * given; then the geomean row. Returns the run for the footer.
+ */
+inline harness::FigureRun
+printFigure(const std::string &title, const std::string &figure,
+            std::vector<std::string> header, unsigned jobs,
+            const std::function<std::string(const harness::FigureRun &,
+                                            size_t)> &extra = {})
+{
+    harness::FigureRun f = harness::runFigure(figure, jobs);
+    Table t(title);
+    t.header(std::move(header));
+    for (size_t i = 0; i < f.points[0].size(); ++i) {
+        std::vector<std::string> row{f.points[0][i].numerator->run.w->name};
+        for (const std::vector<harness::SeriesPoint> &points : f.points)
+            row.push_back(points[i].fell_back
+                              ? "-"
+                              : Table::num(points[i].ratio, 2) + "x");
+        if (extra)
+            row.push_back(extra(f, i));
+        t.row(row);
+    }
+    std::vector<std::string> mean{"geomean"};
+    for (double g : f.geomeans)
+        mean.push_back(Table::num(g, 2) + "x");
+    if (extra)
+        mean.push_back("");
+    t.row(mean);
+    t.print();
+    return f;
+}
+
 /** Relative performance of single-threaded DiAG configs vs the
  *  1-core baseline (Fig. 9a / Fig. 10a shape). */
 inline void
-relPerfSingleThread(const std::string &title,
-                    const std::vector<workloads::Workload> &suite,
-                    double paper_avg_32, double paper_avg_256,
-                    double paper_avg_512, unsigned jobs = 0)
+relPerfSingleThread(const std::string &title, const std::string &figure,
+                    unsigned jobs)
 {
-    const auto diag_cfgs = harness::diagSingleThreadConfigs();
-    // Config 0 is the baseline, then each DiAG config.
-    std::vector<EngineConfig> cfgs{ooo::OooConfig::baseline8()};
-    cfgs.insert(cfgs.end(), diag_cfgs.begin(), diag_cfgs.end());
-    const auto runs = runGrid(suite, cfgs, jobs);
-
-    Table t(title);
-    t.header({"benchmark", "DiAG-32PE", "DiAG-256PE", "DiAG-512PE",
-              "baseline IPC"});
-    std::vector<std::vector<double>> rels(diag_cfgs.size());
-    for (size_t i = 0; i < suite.size(); ++i) {
-        const EngineRun &base = runs[i][0];
-        std::vector<std::string> cells_out{suite[i].name};
-        for (size_t c = 0; c < diag_cfgs.size(); ++c) {
-            const EngineRun &run = runs[i][1 + c];
-            const double rel = static_cast<double>(base.stats.cycles) /
-                               static_cast<double>(run.stats.cycles);
-            rels[c].push_back(rel);
-            cells_out.push_back(Table::num(rel, 2) + "x");
-        }
-        cells_out.push_back(Table::num(base.stats.ipc(), 2));
-        t.row(cells_out);
-    }
-    t.row({"geomean", Table::num(harness::geomean(rels[0]), 2) + "x",
-           Table::num(harness::geomean(rels[1]), 2) + "x",
-           Table::num(harness::geomean(rels[2]), 2) + "x", ""});
-    t.print();
+    const harness::FigureRun f = printFigure(
+        title, figure,
+        {"benchmark", "DiAG-32PE", "DiAG-256PE", "DiAG-512PE",
+         "baseline IPC"},
+        jobs, [](const harness::FigureRun &run, size_t i) {
+            const std::string &base = run.points[0][i].numerator->name;
+            return Table::num(run.runs.at(base).stats.ipc(), 2);
+        });
     std::printf("\nPaper-reported averages: %.2fx (32 PE), %.2fx "
                 "(256 PE), %.2fx (512 PE)\n",
-                paper_avg_32, paper_avg_256, paper_avg_512);
+                f.series[0]->paper, f.series[1]->paper, f.series[2]->paper);
 }
 
 /** Relative multithreaded performance: 16x2 DiAG rings (and the
  *  MT+SIMT arrangement where a simt variant exists) vs the 12-core
  *  baseline (Fig. 9b / Fig. 10b shape). */
 inline void
-relPerfMultiThread(const std::string &title,
-                   const std::vector<workloads::Workload> &suite,
-                   double paper_avg_mt, double paper_avg_simt,
-                   unsigned jobs = 0)
+relPerfMultiThread(const std::string &title, const std::string &figure,
+                   unsigned jobs)
 {
-    // Cells per workload: baseline, DiAG MT, then (simt workloads
-    // only) the MT+SIMT run.
-    std::vector<MatrixCell> cells;
-    std::vector<size_t> first_cell(suite.size());
-    for (size_t i = 0; i < suite.size(); ++i) {
-        const auto &w = suite[i];
-        first_cell[i] = cells.size();
-        cells.push_back({.w = &w,
-                         .spec = {harness::kOooMtThreads, false},
-                         .cfg = ooo::OooConfig::multicore12()});
-        cells.push_back({.w = &w,
-                         .spec = {harness::kDiagMtThreads, false},
-                         .cfg = harness::diagMultiThreadConfig()});
-        if (!w.asm_simt.empty())
-            cells.push_back({.w = &w,
-                             .spec = {harness::kDiagMtSimtThreads, true},
-                             .cfg = harness::diagMtSimtConfig()});
-    }
-    const std::vector<EngineRun> runs = harness::runMatrix(cells, jobs);
-
-    Table t(title);
-    t.header({"benchmark", "DiAG MT(16x2)", "DiAG MT+SIMT(8x4)",
-              "threads"});
-    std::vector<double> mt_rels;
-    std::vector<double> simt_rels;
-    for (size_t i = 0; i < suite.size(); ++i) {
-        const auto &w = suite[i];
-        const EngineRun &base = runs[first_cell[i]];
-        const EngineRun &mt = runs[first_cell[i] + 1];
-        const double rel_mt = static_cast<double>(base.stats.cycles) /
-                              static_cast<double>(mt.stats.cycles);
-        mt_rels.push_back(rel_mt);
-        std::string simt_cell = "-";
-        if (!w.asm_simt.empty()) {
-            const EngineRun &st = runs[first_cell[i] + 2];
-            const double rel =
-                static_cast<double>(base.stats.cycles) /
-                static_cast<double>(st.stats.cycles);
-            simt_rels.push_back(rel);
-            simt_cell = Table::num(rel, 2) + "x";
-        } else {
-            simt_rels.push_back(rel_mt);  // paper: purple == blue bar
-        }
-        t.row({w.name, Table::num(rel_mt, 2) + "x", simt_cell,
-               w.partitionable ? std::to_string(
-                                     harness::kDiagMtThreads)
-                               : "1"});
-    }
-    t.row({"geomean", Table::num(harness::geomean(mt_rels), 2) + "x",
-           Table::num(harness::geomean(simt_rels), 2) + "x", ""});
-    t.print();
+    const harness::FigureRun f = printFigure(
+        title, figure,
+        {"benchmark", "DiAG MT(16x2)", "DiAG MT+SIMT(8x4)", "threads"},
+        jobs, [](const harness::FigureRun &run, size_t i) {
+            const MatrixCell &mt = run.points[0][i].denominator->run;
+            return mt.w->partitionable ? std::to_string(mt.spec.threads)
+                                       : "1";
+        });
     std::printf("\nPaper-reported averages: %.2fx (MT), %.2fx "
                 "(MT with SIMT pipelining)\n",
-                paper_avg_mt, paper_avg_simt);
+                f.series[0]->paper, f.series[1]->paper);
 }
 
 } // namespace diag::bench

@@ -89,6 +89,8 @@ struct DiagConfig
     /** Total PE count (Table 2 row "Total PEs"). */
     unsigned totalPes() const { return total_clusters * pes_per_cluster; }
 
+    bool operator==(const DiagConfig &) const = default;
+
     // ---- Table 2 presets ----
     static DiagConfig i4c2();   //!< RV32I, 2 clusters, 32 PEs, 100 MHz
     static DiagConfig f4c2();   //!< RV32IMF, 2 clusters, 32 PEs

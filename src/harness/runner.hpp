@@ -2,12 +2,16 @@
  * @file
  * Experiment runner: executes workloads on the DiAG model and the OoO
  * baseline under the paper's configurations, validates outputs, and
- * returns cycles + energy for the table/figure benches.
+ * returns cycles + energy for the table/figure benches. The figure
+ * cells and the paper's series over them are named once, in
+ * paperCells().
  */
 #ifndef DIAG_HARNESS_RUNNER_HPP
 #define DIAG_HARNESS_RUNNER_HPP
 
+#include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <variant>
 #include <vector>
@@ -140,6 +144,73 @@ core::DiagConfig diagMtSimtConfig();
 inline constexpr unsigned kDiagMtThreads = 16;
 inline constexpr unsigned kDiagMtSimtThreads = 8;
 inline constexpr unsigned kOooMtThreads = 12;  // 12-core baseline
+
+// ---- the paper's figure cells (Figs 9a/9b/10a/10b/12) ----
+
+/** One figure cell: a workload on one arrangement of paper §7.1–7.2. */
+struct PaperCell
+{
+    std::string name;    //!< `<workload>/<config name>/t<threads>`
+    size_t arrangement;  //!< which of the seven, in perfbench's order
+    MatrixCell run;
+};
+
+/**
+ * One average the paper reports: on each workload of its suite, the
+ * numerator (baseline) arrangement's cycles or energy over the
+ * denominator (DiAG) arrangement's, and the geomean of those ratios.
+ * A workload without a denominator cell (no simt variant) divides by
+ * its fallback arrangement's cell, as the paper draws the MT bar there.
+ */
+struct PaperSeries
+{
+    std::string figure;  //!< "fig9a", "fig9b", "fig10a", "fig10b", "fig12"
+    std::string label;   //!< e.g. "F4C32", "MT+SIMT"
+    std::string suite;   //!< Workload::suite of its workloads
+    size_t numerator;                //!< arrangement: the baseline
+    size_t denominator;              //!< arrangement: DiAG
+    std::optional<size_t> fallback;  //!< arrangement: no-simt stand-in
+    bool energy;   //!< compare total energy, not cycles
+    double paper;  //!< the paper's reported value
+};
+
+/** Every Fig 9a/9b/10a/10b/12 cell named once, and the paper's 13
+ *  series over them. */
+struct PaperTable
+{
+    std::vector<workloads::Workload> workloads;  //!< Rodinia, then SPEC
+    std::vector<PaperCell> cells;  //!< workload-major; run.w points above
+    std::vector<PaperSeries> series;
+};
+
+/** The table: 20 workloads on seven arrangements, 130 cells. */
+const PaperTable &paperCells();
+
+/** One series on one workload. */
+struct SeriesPoint
+{
+    const PaperCell *numerator;
+    const PaperCell *denominator;  //!< the fallback cell if fell_back
+    bool fell_back;
+    double ratio;
+};
+
+/** A figure's series measured on their suite. */
+struct FigureRun
+{
+    std::vector<const PaperSeries *> series;
+    std::vector<std::vector<SeriesPoint>> points;  //!< [series][workload]
+    std::vector<double> geomeans;                  //!< per series
+    std::map<std::string, EngineRun> runs;         //!< by cell name
+};
+
+/**
+ * Run @p figure's series on their suite, or on the workloads @p only
+ * names, each cell once through one runMatrix call on @p jobs host
+ * threads.
+ */
+FigureRun runFigure(const std::string &figure, unsigned jobs,
+                    const std::vector<std::string> &only = {});
 
 } // namespace diag::harness
 

@@ -21,6 +21,8 @@ struct CacheParams
     u32 banks = 1;          //!< independently accessible banks
     Cycle hit_latency = 4;  //!< cycles from bank grant to data
     Cycle bank_occupancy = 1;  //!< cycles a bank is held per access
+
+    bool operator==(const CacheParams &) const = default;
 };
 
 /** Main-memory (DRAM) channel parameters. */
@@ -28,6 +30,8 @@ struct MainMemoryParams
 {
     Cycle latency = 120;       //!< cycles from request to first data
     Cycle line_occupancy = 8;  //!< channel cycles consumed per line
+
+    bool operator==(const MainMemoryParams &) const = default;
 };
 
 /** Full hierarchy: per-port L1s, a shared L2, and DRAM. */
@@ -37,6 +41,8 @@ struct MemParams
     CacheParams l1d{64 * 1024, 4, 64, 4, 4, 1};
     CacheParams l2{4 * 1024 * 1024, 8, 64, 8, 20, 2};
     MainMemoryParams dram;
+
+    bool operator==(const MemParams &) const = default;
 };
 
 } // namespace diag::mem

@@ -68,6 +68,8 @@ struct OooConfig
      *  (same contract as DiagConfig::max_cycles). */
     u64 max_cycles = 2'000'000'000;
 
+    bool operator==(const OooConfig &) const = default;
+
     /** The paper's single-core baseline (64KB L1s, 4MB L2). */
     static OooConfig baseline8();
 

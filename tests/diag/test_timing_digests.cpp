@@ -3,8 +3,8 @@
  * Timing digests of both engines (DESIGN.md §15). Each case runs one
  * fixed input — a bundled workload (F4C32 serial and simt, F4C2
  * serial, the ablation benches' no-reuse, no-memory-lane and
- * stride-prefetch cells, and the figure cells no other golden pins),
- * a seeded fuzz program, a handwritten loop kernel, or the nn
+ * stride-prefetch cells, and every Fig 9a/9b/10a/10b/12 cell), a
+ * seeded fuzz program, a handwritten loop kernel, or the nn
  * workload under the tracer, the address recorder or a fault campaign
  * — and compares a one-line digest (cycles, instructions and FNV-1a
  * hashes of the counter dump, the final architectural state or the
@@ -15,12 +15,11 @@
  * bit for bit on every one of these inputs, so a passing case means
  * today's single path still reproduces the dense reference exactly.
  * The AblationDigests rows pin the counters of configurations no
- * other golden runs, and the FigureCellDigests rows pin the Fig
- * 9a/9b/10a/10b/12 cells that neither stats_goldens nor the rows above
- * run: F4C16 serial, DiAG 16x2 with 16 threads, DiAG 8x4 simt with 8
- * threads and the 12-core OoO baseline with 12 threads. After an
- * intended model change, regenerate with tools/update_goldens.sh
- * (which runs every case in this file with DIAG_UPDATE_DIGESTS=1).
+ * other golden runs, and the EngineWorkload checks pin each of the 130
+ * cells of harness::paperCells() under `cell/<cell name>`, five checks
+ * per workload by engine and mode. After an intended model change,
+ * regenerate with tools/update_goldens.sh (which runs every case in
+ * this file with DIAG_UPDATE_DIGESTS=1).
  */
 #include <gtest/gtest.h>
 
@@ -150,15 +149,13 @@ namespace
 {
 
 /** Compare @p run, which must pass its output check, against the
- *  `<tag>/<name>` entry. */
+ *  @p key entry. */
 void
-runDigest(const std::string &tag, const workloads::Workload &w,
-          const harness::EngineRun &run)
+runDigest(const std::string &key, const harness::EngineRun &run)
 {
-    EXPECT_TRUE(run.checked) << tag << "/" << w.name;
-    checkDigest(tag + "/" + w.name, "{" + runFields(run.stats) +
-                                        ", \"stop\": \"" +
-                                        hex(stopHash(run.stats)) + "\"}");
+    EXPECT_TRUE(run.checked) << key;
+    checkDigest(key, "{" + runFields(run.stats) + ", \"stop\": \"" +
+                         hex(stopHash(run.stats)) + "\"}");
 }
 
 /** Run @p w on @p cfg; compare against the `<tag>/<name>` entry. */
@@ -168,7 +165,7 @@ workloadOne(const std::string &tag, const workloads::Workload &w,
 {
     harness::RunSpec spec;
     spec.use_simt = use_simt;
-    runDigest(tag, w, harness::runOnDiag(cfg, w, spec));
+    runDigest(tag + "/" + w.name, harness::runOnDiag(cfg, w, spec));
 }
 
 } // namespace
@@ -228,59 +225,98 @@ TEST(AblationDigests, StridePrefetch)
                     cfg, false);
 }
 
-// --- Figure cells: the Fig 9/10/12 cells no other golden runs. -----
+// --- Paper cells: every cell of Figs 9a/9b/10a/10b/12. -------------
 
 namespace
 {
 
-/** Both suites, Rodinia first: every workload the figures run. */
-std::vector<workloads::Workload>
-figureWorkloads()
+/** How an arrangement runs a workload. */
+enum class Mode
 {
-    std::vector<workloads::Workload> all = workloads::rodiniaSuite();
-    for (workloads::Workload &w : workloads::specSuite())
-        all.push_back(std::move(w));
-    return all;
+    Serial,
+    MultiThread,
+    Simt
+};
+
+/**
+ * Run @p workload's paper-table cells that run on DiAG (@p diag) or
+ * the OoO baseline in @p mode. Each must pass its output check, spend
+ * energy and match its `cell/<cell name>` digest; a 1-core OoO run's
+ * IPC lies in (0.05, 8) and a simt run pipelines threads.
+ */
+void
+cellsOne(const std::string &workload, bool diag, Mode mode)
+{
+    bool any = false;
+    for (const harness::PaperCell &c : harness::paperCells().cells) {
+        const harness::RunSpec &spec = c.run.spec;
+        const Mode m = spec.use_simt      ? Mode::Simt
+                       : spec.threads > 1 ? Mode::MultiThread
+                                          : Mode::Serial;
+        if (c.run.w->name != workload || m != mode ||
+            std::holds_alternative<DiagConfig>(c.run.cfg) != diag)
+            continue;
+        any = true;
+        const harness::EngineRun run = harness::runMatrix({c.run}, 1)[0];
+        EXPECT_GT(run.energy.totalPj(), 0.0) << c.name;
+        if (!diag && mode == Mode::Serial) {
+            EXPECT_GT(run.stats.ipc(), 0.05) << c.name;
+            EXPECT_LT(run.stats.ipc(), 8.0) << c.name;  // commit width
+        }
+        if (mode == Mode::Simt) {
+            EXPECT_GT(run.stats.counters.get("simt_threads"), 0.0)
+                << c.name;
+        }
+        runDigest("cell/" + c.name, run);
+    }
+    if (!any)
+        GTEST_SKIP() << workload << " has no such paper cell";
+}
+
+/** The table's workload names; they also name the ctest cases. */
+std::vector<std::string>
+tableWorkloads()
+{
+    std::vector<std::string> names;
+    for (const workloads::Workload &w : harness::paperCells().workloads)
+        names.push_back(w.name);
+    return names;
 }
 
 } // namespace
 
-TEST(FigureCellDigests, F4C16Serial)
+class EngineWorkload : public ::testing::TestWithParam<std::string>
+{};
+
+TEST_P(EngineWorkload, DiagSerialChecksOut)
 {
-    // Fig 9a/10a's 256-PE column.
-    for (const workloads::Workload &w : figureWorkloads())
-        workloadOne("fig-f4c16", w, DiagConfig::f4c16(), false);
+    // Fig 9a/10a's 32-, 256- and 512-PE columns; Fig 12's single thread.
+    cellsOne(GetParam(), true, Mode::Serial);
 }
 
-TEST(FigureCellDigests, DiagMultiThread)
+TEST_P(EngineWorkload, OooSerialChecksOut)
 {
-    // Fig 9b/10b/12's MT column: 16 threads on 16x2 rings.
-    for (const workloads::Workload &w : figureWorkloads())
-        runDigest("fig-diag-mt16", w,
-                  harness::runOnDiag(harness::diagMultiThreadConfig(), w,
-                                     {harness::kDiagMtThreads, false}));
+    cellsOne(GetParam(), false, Mode::Serial);  // 1-core baseline
 }
 
-TEST(FigureCellDigests, DiagMtSimt)
+TEST_P(EngineWorkload, DiagMultiThreadChecksOut)
 {
-    // Fig 9b/10b/12's MT+SIMT column: 8 threads on 8x4 rings, simt
-    // workloads only.
-    for (const workloads::Workload &w : figureWorkloads())
-        if (!w.asm_simt.empty())
-            runDigest("fig-diag-mtsimt8", w,
-                      harness::runOnDiag(harness::diagMtSimtConfig(), w,
-                                         {harness::kDiagMtSimtThreads,
-                                          true}));
+    cellsOne(GetParam(), true, Mode::MultiThread);  // 16x2 rings
 }
 
-TEST(FigureCellDigests, OooMulticore12)
+TEST_P(EngineWorkload, OooMultiThreadChecksOut)
 {
-    // Fig 9b/10b/12's baseline: 12 threads on the 12-core OoO chip.
-    for (const workloads::Workload &w : figureWorkloads())
-        runDigest("fig-ooo-mc12", w,
-                  harness::runOnOoo(ooo::OooConfig::multicore12(), w,
-                                    {harness::kOooMtThreads, false}));
+    cellsOne(GetParam(), false, Mode::MultiThread);  // 12 cores
 }
+
+TEST_P(EngineWorkload, DiagSimtChecksOut)
+{
+    cellsOne(GetParam(), true, Mode::Simt);  // 8x4 rings, simt
+}
+
+INSTANTIATE_TEST_SUITE_P(All, EngineWorkload,
+                         ::testing::ValuesIn(tableWorkloads()),
+                         [](const auto &info) { return info.param; });
 
 // --- Fuzz corpus: seeded random programs, all generator modes. -----
 

@@ -1,84 +1,13 @@
-/** Cross-engine integration tests: the benchmark workloads must
- *  produce correct outputs on the DiAG model and the OoO baseline, in
- *  serial, multithreaded, and (where available) simt variants — the
- *  same property the figure benches depend on. */
+/** Cross-engine comparisons: relationships between configurations
+ *  that the figure benches depend on. Each figure cell's output check
+ *  and timing digest live in the EngineWorkload checks
+ *  (tests/diag/test_timing_digests.cpp). */
 #include <gtest/gtest.h>
 
 #include "harness/runner.hpp"
 
 using namespace diag;
 using namespace diag::harness;
-
-namespace
-{
-
-std::vector<std::string>
-allNames()
-{
-    std::vector<std::string> names;
-    for (const auto &w : workloads::rodiniaSuite())
-        names.push_back(w.name);
-    for (const auto &w : workloads::specSuite())
-        names.push_back(w.name);
-    return names;
-}
-
-} // namespace
-
-class EngineWorkload : public ::testing::TestWithParam<std::string>
-{};
-
-TEST_P(EngineWorkload, DiagSerialChecksOut)
-{
-    const workloads::Workload w = workloads::findWorkload(GetParam());
-    // runOnDiag fatal()s if the run does not halt or fails the check.
-    const EngineRun run =
-        runOnDiag(core::DiagConfig::f4c16(), w, {1, false});
-    EXPECT_TRUE(run.checked);
-    EXPECT_GT(run.stats.cycles, 0u);
-    EXPECT_GT(run.energy.totalPj(), 0.0);
-}
-
-TEST_P(EngineWorkload, OooSerialChecksOut)
-{
-    const workloads::Workload w = workloads::findWorkload(GetParam());
-    const EngineRun run =
-        runOnOoo(ooo::OooConfig::baseline8(), w, {1, false});
-    EXPECT_TRUE(run.checked);
-    EXPECT_GT(run.stats.ipc(), 0.05);
-    EXPECT_LT(run.stats.ipc(), 8.0);  // cannot beat the commit width
-}
-
-TEST_P(EngineWorkload, DiagMultiThreadChecksOut)
-{
-    const workloads::Workload w = workloads::findWorkload(GetParam());
-    const EngineRun run = runOnDiag(diagMultiThreadConfig(), w,
-                                    {kDiagMtThreads, false});
-    EXPECT_TRUE(run.checked);
-}
-
-TEST_P(EngineWorkload, OooMultiThreadChecksOut)
-{
-    const workloads::Workload w = workloads::findWorkload(GetParam());
-    const EngineRun run = runOnOoo(ooo::OooConfig::multicore12(), w,
-                                   {kOooMtThreads, false});
-    EXPECT_TRUE(run.checked);
-}
-
-TEST_P(EngineWorkload, DiagSimtChecksOut)
-{
-    const workloads::Workload w = workloads::findWorkload(GetParam());
-    if (w.asm_simt.empty())
-        GTEST_SKIP() << w.name << " has no simt variant";
-    const EngineRun run = runOnDiag(diagMtSimtConfig(), w,
-                                    {kDiagMtSimtThreads, true});
-    EXPECT_TRUE(run.checked);
-    EXPECT_GT(run.stats.counters.get("simt_threads"), 0.0);
-}
-
-INSTANTIATE_TEST_SUITE_P(All, EngineWorkload,
-                         ::testing::ValuesIn(allNames()),
-                         [](const auto &info) { return info.param; });
 
 TEST(EngineComparison, MultiThreadingSpeedsUpPartitionableWork)
 {

@@ -1,6 +1,9 @@
-/** Harness utility tests: table rendering, geomean, config presets
- *  and host cancellation on both engines. */
+/** Harness utility tests: table rendering, geomean, config presets,
+ *  the paper table and host cancellation on both engines. */
 #include <gtest/gtest.h>
+
+#include <map>
+#include <set>
 
 #include "diag/processor.hpp"
 #include "harness/runner.hpp"
@@ -48,6 +51,30 @@ TEST(Harness, MtConfigsShapeThePaper)
     EXPECT_EQ(simt.num_rings, 8u);         // 8x4 chained rings
     EXPECT_EQ(simt.clustersPerRing(), 4u);
     EXPECT_TRUE(simt.simt_enabled);
+}
+
+TEST(Harness, ConfigNamesIdentifyConfigs)
+{
+    // Records keyed on a config or cell name must never merge two
+    // different machines: equal names mean equal configs.
+    std::vector<std::variant<core::DiagConfig, ooo::OooConfig>> cfgs = {
+        core::DiagConfig::i4c2(),    core::DiagConfig::f4c2(),
+        core::DiagConfig::f4c16(),   core::DiagConfig::f4c32(),
+        diagMultiThreadConfig(),     diagMtSimtConfig(),
+        ooo::OooConfig::baseline8(), ooo::OooConfig::multicore12()};
+    std::set<std::string> cells;
+    for (const PaperCell &c : paperCells().cells) {
+        cfgs.push_back(c.run.cfg);
+        EXPECT_TRUE(cells.insert(c.name).second) << c.name;
+    }
+    EXPECT_EQ(cells.size(), 130u);
+    std::map<std::string, size_t> first;
+    for (size_t i = 0; i < cfgs.size(); ++i) {
+        const std::string name =
+            std::visit([](const auto &c) { return c.name; }, cfgs[i]);
+        const size_t same = first.emplace(name, i).first->second;
+        EXPECT_TRUE(cfgs[same] == cfgs[i]) << name;
+    }
 }
 
 TEST(Harness, NonPartitionableWorkloadRunsOneThread)

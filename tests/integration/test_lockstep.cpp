@@ -47,7 +47,7 @@ std::vector<std::string>
 lockstepNames()
 {
     // A representative cross-section (running all 20 on three engines
-    // here would duplicate the engine-integration suite).
+    // here would duplicate the EngineWorkload cell checks).
     return {"backprop", "bfs",  "nw",  "kmeans",
             "mcf",      "lbm",  "xz",  "deepsjeng"};
 }
@@ -101,15 +101,17 @@ INSTANTIATE_TEST_SUITE_P(Kernels, Lockstep,
 namespace
 {
 
+/** Series @p label of @p figure on workload @p name alone. */
 double
-relPerf(const core::DiagConfig &cfg, const Workload &w,
-        const harness::RunSpec &dspec, const ooo::OooConfig &ocfg,
-        const harness::RunSpec &ospec)
+seriesRatio(const std::string &figure, const std::string &label,
+            const std::string &name)
 {
-    const auto d = harness::runOnDiag(cfg, w, dspec);
-    const auto o = harness::runOnOoo(ocfg, w, ospec);
-    return static_cast<double>(o.stats.cycles) /
-           static_cast<double>(d.stats.cycles);
+    const harness::FigureRun f = harness::runFigure(figure, 1, {name});
+    for (size_t i = 0; i < f.series.size(); ++i)
+        if (f.series[i]->label == label)
+            return f.points[i][0].ratio;
+    ADD_FAILURE() << "no series " << figure << " " << label;
+    return 0.0;
 }
 
 } // namespace
@@ -118,65 +120,41 @@ TEST(PaperShape, MorePesHelpSerialPrograms)
 {
     // Fig 9a/10a shape: the 256-PE config beats the 32-PE config on
     // kernels whose loops exceed two clusters.
-    for (const char *name : {"backprop", "srad", "lbm"}) {
-        const Workload w = findWorkload(name);
-        const double small =
-            relPerf(core::DiagConfig::f4c2(), w, {1, false},
-                    ooo::OooConfig::baseline8(), {1, false});
-        const double large =
-            relPerf(core::DiagConfig::f4c16(), w, {1, false},
-                    ooo::OooConfig::baseline8(), {1, false});
-        EXPECT_GT(large, 1.2 * small) << name;
-    }
+    const std::pair<const char *, const char *> cases[] = {
+        {"fig9a", "backprop"}, {"fig9a", "srad"}, {"fig10a", "lbm"}};
+    for (const auto &[figure, name] : cases)
+        EXPECT_GT(seriesRatio(figure, "F4C16", name),
+                  1.2 * seriesRatio(figure, "F4C2", name))
+            << name;
 }
 
 TEST(PaperShape, ComputeBeatsMemoryBoundRelatively)
 {
     // DiAG's relative performance on a compute-regular kernel exceeds
     // its relative performance on a control/memory-bound one.
-    const double compute =
-        relPerf(core::DiagConfig::f4c32(), findWorkload("kmeans"),
-                {1, false}, ooo::OooConfig::baseline8(), {1, false});
-    const double memory =
-        relPerf(core::DiagConfig::f4c32(), findWorkload("bfs"),
-                {1, false}, ooo::OooConfig::baseline8(), {1, false});
-    EXPECT_GT(compute, memory);
+    EXPECT_GT(seriesRatio("fig9a", "F4C32", "kmeans"),
+              seriesRatio("fig9a", "F4C32", "bfs"));
 }
 
 TEST(PaperShape, SimtPipeliningBeatsPlainMtOnStencils)
 {
     // Fig 9b purple-over-blue shape on a pipelineable benchmark.
-    const Workload w = findWorkload("srad");
-    const double mt = relPerf(
-        harness::diagMultiThreadConfig(), w,
-        {harness::kDiagMtThreads, false},
-        ooo::OooConfig::multicore12(), {harness::kOooMtThreads, false});
-    const double simt = relPerf(
-        harness::diagMtSimtConfig(), w,
-        {harness::kDiagMtSimtThreads, true},
-        ooo::OooConfig::multicore12(), {harness::kOooMtThreads, false});
-    EXPECT_GT(simt, 1.5 * mt);
+    EXPECT_GT(seriesRatio("fig9b", "MT+SIMT", "srad"),
+              1.5 * seriesRatio("fig9b", "MT", "srad"));
 }
 
 TEST(PaperShape, EnergyEfficiencyFavorsDiagOnReusedCompute)
 {
     // Fig 12 shape: on a reuse-friendly compute kernel DiAG spends
     // less energy than the baseline.
-    const Workload w = findWorkload("kmeans");
-    const auto d = harness::runOnDiag(core::DiagConfig::f4c32(), w,
-                                      {1, false});
-    const auto o = harness::runOnOoo(ooo::OooConfig::baseline8(), w,
-                                     {1, false});
-    EXPECT_LT(d.energy.totalPj(), o.energy.totalPj());
+    EXPECT_GT(seriesRatio("fig12", "single-thread", "kmeans"), 1.0);
 }
 
 TEST(PaperShape, MemoryStallsDominateDiagStalls)
 {
     // §7.3.2 shape on a memory-heavy benchmark.
-    const Workload w = findWorkload("mcf");
-    const auto d = harness::runOnDiag(core::DiagConfig::f4c32(), w,
-                                      {1, false});
-    const auto &c = d.stats.counters;
+    const harness::FigureRun f = harness::runFigure("fig10a", 1, {"mcf"});
+    const auto &c = f.runs.at("mcf/F4C32/t1").stats.counters;
     const double mem = c.get("mem_stall_cycles") +
                        c.get("mem_queue_stall_cycles");
     const double ctrl = c.get("ctrl_stall_cycles");
