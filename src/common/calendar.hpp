@@ -10,7 +10,10 @@
  * behind another thread's far-future reservation — serializing threads
  * that really run in parallel. The calendar instead keeps a bounded,
  * sorted window of reserved intervals and grants each request the first
- * gap at or after its arrival time, independent of processing order.
+ * gap at or after its arrival time. Grants are independent of
+ * processing order only while nothing has been dropped: a full window
+ * drops the reservation that starts earliest, and a later request that
+ * arrives before it no longer sees it.
  * Intervals already over at the arrival time are skipped by binary
  * search (DESIGN.md §5.1), so a request costs O(log n) plus the gaps
  * it walks past.
@@ -53,7 +56,7 @@ class BusyCalendar
         iv_.insert(iv_.begin() + static_cast<long>(gap.pos),
                    {gap.start, gap.start + occupancy});
         if (iv_.size() > cap_)
-            iv_.erase(iv_.begin());  // forget the oldest reservation
+            iv_.erase(iv_.begin());  // drop the earliest-starting one
         return gap.start;
     }
 

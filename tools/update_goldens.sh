@@ -21,13 +21,12 @@
 #                                cells (no reuse on every Rodinia
 #                                workload, no memory lanes and stride
 #                                prefetch on the workloads their benches
-#                                list), the figure cells no other golden
-#                                runs (F4C16 serial, DiAG 16x2 with 16
-#                                threads, DiAG 8x4 simt with 8 threads,
-#                                OoO 12 cores with 12 threads), the fuzz
-#                                corpus, the loop and simt-fallback
-#                                kernels and the nn trace/address-log/
-#                                fault-campaign runs (every case in
+#                                list), the 130 Fig 9a/9b/10a/10b/12
+#                                cells of harness::paperCells() (keyed
+#                                cell/<cell name>), the fuzz corpus, the
+#                                loop and simt-fallback kernels and the
+#                                nn trace/address-log/fault-campaign
+#                                runs (every case in
 #                                tests/diag/test_timing_digests.cpp);
 #   figures/<binary>.txt         stdout of each table/figure/ablation
 #                                binary in figure_benches below, under
