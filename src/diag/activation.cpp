@@ -24,7 +24,7 @@ ActivationEngine::ActivationEngine(const DiagConfig &cfg,
 {}
 
 Cycle
-ActivationEngine::serveLoad(Cluster &cl, ThreadMemCtx &tmc, Addr ea,
+ActivationEngine::serveLoad(Cluster &cl, sim::StoreTracker &tmc, Addr ea,
                             u8 size, Cycle issue, unsigned pe)
 {
     ++counters_[DiagCounter::loads];
@@ -110,7 +110,7 @@ ActivationEngine::commitStore(Cluster &cl, Addr ea, Cycle commit)
 
 ActivationOutput
 ActivationEngine::run(const ActivationInput &in, LaneFile &regs,
-                      ThreadMemCtx &tmc)
+                      sim::StoreTracker &tmc)
 {
     Cluster &cl = *in.cluster;
     panic_if(!cl.loaded(), "activation on unloaded cluster %u", cl.index);

@@ -14,7 +14,7 @@
 #include "diag/config.hpp"
 #include "diag/counters.hpp"
 #include "diag/lanes.hpp"
-#include "diag/thread_ctx.hpp"
+#include "sim/mem_order.hpp"
 #include "mem/hierarchy.hpp"
 #include "trace/tracer.hpp"
 
@@ -101,7 +101,7 @@ class ActivationEngine
      *  file at the cluster input latch; it is updated in place and
      *  holds the output-latch state on return (on every exit kind). */
     ActivationOutput run(const ActivationInput &in, LaneFile &regs,
-                         ThreadMemCtx &tmc);
+                         sim::StoreTracker &tmc);
 
     /** Attach (or detach with nullptr) a fault controller. Every hook
      *  in the hot path is a single null check when detached. */
@@ -125,7 +125,7 @@ class ActivationEngine
   private:
     /** Cycles until a load's data is available, with full accounting.
      *  @p pe is the issuing PE slot (keys the stride prefetcher). */
-    Cycle serveLoad(Cluster &cl, ThreadMemCtx &tmc, Addr ea, u8 size,
+    Cycle serveLoad(Cluster &cl, sim::StoreTracker &tmc, Addr ea, u8 size,
                     Cycle issue, unsigned pe);
 
     /** Occupy LSU + cache for a committing store. */

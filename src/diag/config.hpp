@@ -43,15 +43,6 @@ struct DiagConfig
      * fatal() instead of faulting mid-simulation.
      */
     bool lint_enabled = true;
-    /**
-     * Additionally run the diag-verify abstract-interpretation
-     * verifier before simulating (next to lint): programs with a
-     * *proven* violation — a refuted safety property, a proven
-     * cross-thread race, a livelocking simt region — are rejected
-     * with fatal(). Off by default: lint already gates structural
-     * errors, and the verifier costs a whole-program fixpoint.
-     */
-    bool verify_enabled = false;
 
     // ---- timing ----
     /**

@@ -86,15 +86,6 @@ DiagProcessor::checkRun(const Program &prog,
                   analysis::renderText(errors_only).c_str());
         }
     }
-    if (cfg_.verify_enabled) {
-        analysis::VerifyOptions opt;
-        opt.lint = strictLintOptions(cfg_, threads);
-        const analysis::VerifyResult res =
-            analysis::verifyProgram(prog, opt);
-        if (!res.clean())
-            fatal("program rejected by the verifier:\n%s",
-                  analysis::renderVerifyText(res).c_str());
-    }
     fatal_if(faults_ && faults_->lockstepEnabled() &&
                  threads.size() > 1,
              "golden-lockstep checking shadows a single retirement "

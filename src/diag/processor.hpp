@@ -58,10 +58,9 @@ class DiagProcessor : public sim::Processor<Ring>
     void attachAddrTrace(trace::AddrTrace *t);
 
   private:
-    /** Strict lint (cfg.lint_enabled) and verification
-     *  (cfg.verify_enabled): fatal() on error-level findings or when
-     *  diag-verify refutes a safety property or proves a race. Also
-     *  refuses golden-lockstep checking on more than one thread. */
+    /** Strict lint (cfg.lint_enabled): fatal() on error-level
+     *  findings. Also refuses golden-lockstep checking on more than
+     *  one thread. */
     void checkRun(const Program &prog,
                   const std::vector<ThreadSpec> &threads) override;
 

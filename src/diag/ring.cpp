@@ -222,7 +222,7 @@ struct Ring::ThreadState
     Cycle pc_enter;   //!< PC-lane arrival at the next cluster
     Cycle min_start;  //!< floor on the next activation's start
     SparseMemory &mem;
-    ThreadMemCtx tmc;
+    sim::StoreTracker tmc;  //!< the memory lanes (paper §5.2)
     u64 retired = 0;
     // Lookahead window: an activation may not begin before the one
     // speculation_depth activations earlier finished executing.
@@ -255,37 +255,18 @@ Ring::runThread(Addr entry, const sim::InitRegs &init_regs,
         if (step == Step::Stop)
             return t.res;
     }
-    // Instruction budget exhausted: report a structured timeout.
-    t.res.timed_out = true;
-    t.stop(t.now(), t.pc,
-           detail::vformat("instruction budget exhausted (%llu retired)",
-                           static_cast<unsigned long long>(t.retired)));
+    // Instruction budget spent: sim::Processor reports the stop.
+    t.stop(t.now(), t.pc, {});
     return t.res;
 }
 
 Ring::Step
 Ring::boundary(ThreadState &t)
 {
-    // Cooperative host cancellation / wall-clock watchdog: the flag is
-    // one atomic load per activation; the deadline (a clock read) is
-    // consulted on the first activation and every 64th after, so an
-    // already-expired token stops before any work and a pathological
-    // seed stops within one check window.
-    if (cancel_ &&
-        (cancel_->cancelled() ||
-         ((t.activations++ & 63) == 0 && cancel_->expired()))) {
-        t.res.timed_out = true;
-        t.stop(t.now(), t.pc,
-               detail::vformat("host watchdog: %s", cancel_->reason()));
-        return Step::Stop;
-    }
-    // Hardware trap: a misaligned PC (reachable through jalr off a
-    // corrupted lane — the ISA masks only bit 0) cannot address an
-    // I-line slot.
-    if (t.pc & 3u) {
-        t.res.faulted = true;
-        t.stop(t.now(), t.pc,
-               detail::vformat("trap: misaligned pc 0x%x", t.pc));
+    // Host cancellation and the misaligned-pc trap (reachable through
+    // jalr off a corrupted lane), under the rules the OoO shares.
+    if (sim::boundaryStop(cancel_, t.activations++, t.pc, t.res)) {
+        t.stop(t.now(), t.pc, std::move(t.res.stop_reason));
         return Step::Stop;
     }
     // Forward-progress watchdog: activation boundaries that stop

@@ -63,11 +63,10 @@ class Ring
 
     /**
      * Attach (or detach with nullptr) a cooperative cancellation
-     * token. runThread polls it at activation boundaries (the
-     * cancelled flag every activation, the wall-clock deadline every
-     * 64th) and stops with a structured timeout when it fires. Host
-     * policy only: an uncancelled run computes cycle-identical results
-     * with or without a token attached.
+     * token, polled at activation boundaries under the contract the
+     * OoO cores share (sim::boundaryStop). Host policy only: an
+     * uncancelled run computes cycle-identical results with or
+     * without a token attached.
      */
     void setCancelToken(const host::CancelToken *t) { cancel_ = t; }
 

@@ -164,11 +164,7 @@ runTrial(const TrialContext &ctx, unsigned t)
     const bool mem_ok = proc.memory().sameContents(ctx.ref_mem);
     if (stats.timed_out) {
         rec.outcome = Outcome::Hang;
-        // Substring, not prefix: multi-thread runs wrap the reason
-        // as "thread N: host watchdog: ...".
-        rec.host_timed_out = stats.stop_reason.find(
-                                 "host watchdog") !=
-                             std::string::npos;
+        rec.host_timed_out = stats.hostStopped();
         rec.detector = rec.host_timed_out ? "host-watchdog"
                                           : "watchdog";
     } else if (stats.aborted) {

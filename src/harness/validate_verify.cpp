@@ -245,15 +245,13 @@ validateVerify(const core::DiagConfig &cfg, const sim::FuzzOptions &fo,
     // racy programs carry deliberate memdep errors.
     core::DiagConfig dcfg = cfg;
     dcfg.lint_enabled = false;
-    dcfg.verify_enabled = false;
     core::DiagProcessor dproc(dcfg);
     dproc.attachCancel(&watchdog);
     const sim::RunStats drs = dproc.run(prog, max_insts);
     dproc.attachCancel(nullptr);
     // A host-watchdog stop says nothing about the program: the check
     // is incomplete, not a soundness failure.
-    if (drs.timed_out && drs.stop_reason.find("host watchdog") !=
-                             std::string::npos) {
+    if (drs.hostStopped()) {
         c.host_timed_out = true;
         return c;
     }
@@ -302,9 +300,7 @@ validateVerify(const core::DiagConfig &cfg, const sim::FuzzOptions &fo,
         oproc.attachCancel(&watchdog);
         const sim::RunStats ors = oproc.run(prog, max_insts);
         oproc.attachCancel(nullptr);
-        if (ors.timed_out && ors.stop_reason.find(
-                                 "host watchdog") !=
-                                 std::string::npos) {
+        if (ors.hostStopped()) {
             c.host_timed_out = true;
             return c;
         }

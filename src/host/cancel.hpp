@@ -18,9 +18,9 @@
  *
  * Tokens are copyable handles to shared state; all members are safe to
  * call from any thread. The cancelled flag is a cheap atomic load;
- * expired() reads the steady clock, so hot loops rate-limit it (the
- * ring checks the flag every activation but the clock only every 64th,
- * see Ring::runThread).
+ * expired() reads the steady clock, so hot loops rate-limit it (both
+ * engines' units check the flag every boundary but the clock only
+ * every 64th, see sim::boundaryStop).
  */
 #ifndef DIAG_HOST_CANCEL_HPP
 #define DIAG_HOST_CANCEL_HPP

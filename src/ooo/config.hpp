@@ -60,10 +60,8 @@ struct OooConfig
 
     // ---- system ----
     unsigned cores = 1;
-    double freq_ghz = 2.0;
     mem::MemParams mem;
 
-    u64 max_insts = 500'000'000;
     /** Cycle ceiling: runs past this report a structured timeout
      *  (same contract as DiagConfig::max_cycles). */
     u64 max_cycles = 2'000'000'000;

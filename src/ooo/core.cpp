@@ -4,6 +4,7 @@
 
 #include "common/bits.hpp"
 #include "common/log.hpp"
+#include "fault/watchdog.hpp"
 #include "isa/decoder.hpp"
 #include "isa/exec.hpp"
 #include "isa/latency.hpp"
@@ -50,347 +51,346 @@ OooCore::poolFor(ExecClass cls)
     }
 }
 
+namespace
+{
+
+/** One in-order stage's slots: up to width instructions a cycle. */
+struct Slots
+{
+    explicit Slots(Cycle start) : cycle(start) {}
+
+    Cycle cycle;        //!< cycle of the latest slot
+    unsigned used = 0;  //!< slots taken in that cycle
+
+    /** Take the first slot no earlier than @p ready. */
+    Cycle
+    take(Cycle ready, unsigned width)
+    {
+        if (ready > cycle || used >= width) {
+            cycle = std::max(ready, cycle + 1);
+            used = 0;
+        }
+        ++used;
+        return cycle;
+    }
+
+    /** Refetch: no slot before @p until, and a fresh cycle's width. */
+    void
+    stall(Cycle until)
+    {
+        cycle = std::max(cycle, until);
+        used = 0;
+    }
+};
+
+} // namespace
+
+struct OooCore::ThreadState
+{
+    ThreadState(const OooConfig &cfg, Addr entry,
+                const sim::InitRegs &init_regs, SparseMemory &m,
+                Cycle start)
+        : pc(entry), mem(m), tracker(m, cfg.store_buffer_entries),
+          gshare(cfg.gshare_entries, cfg.gshare_history),
+          btb(cfg.btb_entries), ras(cfg.ras_entries),
+          fetch_slots(start), commit_slots(start), redirect_gate(start),
+          rob(cfg.rob_entries, 0), iq(cfg.iq_entries, 0),
+          lsq(cfg.lsq_entries, 0), wd(cfg.max_cycles)
+    {
+        std::fill(std::begin(reg_ready), std::end(reg_ready), start);
+        for (const auto &[reg, v] : init_regs)
+            regs[reg] = v;
+    }
+
+    /** x0 and an absent operand read as 0, ready at cycle 0. */
+    static bool zero(RegId r) { return r == kNoReg || r == kRegZero; }
+    u32 value(RegId r) const { return zero(r) ? 0 : regs[r]; }
+    Cycle ready(RegId r) const { return zero(r) ? 0 : reg_ready[r]; }
+
+    Addr pc;
+    SparseMemory &mem;
+    u32 regs[kNumRegs] = {};
+    Cycle reg_ready[kNumRegs];  //!< when each value reaches a consumer
+    sim::StoreTracker tracker;
+    GsharePredictor gshare;
+    Btb btb;
+    Ras ras;
+    Slots fetch_slots, commit_slots;
+    Cycle redirect_gate;       //!< no fetch before a mispredict refills
+    Addr cur_line = ~Addr{0};  //!< I-line the frontend holds
+    /** Per ROB / IQ / LSQ entry: when its last occupant committed,
+     *  issued or completed. */
+    std::vector<Cycle> rob, iq, lsq;
+    u64 memops = 0;  //!< loads and stores dispatched (LSQ slot index)
+    fault::Watchdog wd;
+    sim::ThreadResult res;
+};
+
+struct OooCore::DynInst
+{
+    explicit DynInst(const DecodedInst &inst) : di(inst) {}
+
+    const DecodedInst &di;
+    Cycle fetched = 0, dispatched = 0, issued = 0, complete = 0;
+    u32 c_val = 0;  //!< third operand: rs3, or simt_e's step register
+    u32 value = 0;  //!< destination value
+    bool redirect = false;
+    Addr target = 0;  //!< control-transfer target when redirect
+    bool halt = false;
+};
+
 sim::ThreadResult
 OooCore::runThread(Addr entry, const sim::InitRegs &init_regs,
                    SparseMemory &mem, Cycle start_cycle, u64 max_insts)
 {
-    sim::ThreadResult res;
-    u32 regs[kNumRegs] = {};
-    Cycle reg_ready[kNumRegs] = {};
-    for (auto &r : reg_ready)
-        r = start_cycle;
-    for (const auto &[reg, value] : init_regs)
-        regs[reg] = value;
-
-    sim::StoreTracker tracker(mem, cfg_.store_buffer_entries);
-    GsharePredictor gshare(cfg_.gshare_entries, cfg_.gshare_history);
-    Btb btb(cfg_.btb_entries);
-    Ras ras(cfg_.ras_entries);
-
-    // Frontend state.
-    Cycle fetch_cycle = start_cycle;
-    unsigned fetch_in_cycle = 0;
-    Cycle redirect_gate = start_cycle;
-    Addr cur_line = ~Addr{0};
-    // Window state.
-    std::vector<Cycle> commit_hist(cfg_.rob_entries, 0);
-    std::vector<Cycle> issue_hist(cfg_.iq_entries, 0);
-    std::vector<Cycle> memop_hist(cfg_.lsq_entries, 0);
-    u64 memop_count = 0;
-    // Commit pacing.
-    Cycle commit_cycle = start_cycle;
-    unsigned commit_in_cycle = 0;
-    Cycle last_commit = start_cycle;
-
-    const Cycle fe_latency = cfg_.decode_latency + cfg_.rename_latency +
-                             cfg_.dispatch_latency;
-    Addr pc = entry;
-
-    auto reg_value = [&](RegId r) -> u32 {
-        return (r == kNoReg || r == kRegZero) ? 0 : regs[r];
-    };
-    auto reg_time = [&](RegId r) -> Cycle {
-        return (r == kNoReg || r == kRegZero) ? 0 : reg_ready[r];
-    };
-
-    for (u64 i = 0; i < max_insts; ++i) {
-        // Cooperative host cancellation / wall-clock watchdog (same
-        // contract as Ring::runThread): flag every instruction, clock
-        // on the first and every 64th.
-        if (cancel_ &&
-            (cancel_->cancelled() ||
-             ((i & 63) == 0 && cancel_->expired()))) {
-            res.timed_out = true;
-            res.stop_pc = pc;
-            res.finish = last_commit;
-            res.stop_reason = detail::vformat("host watchdog: %s",
-                                              cancel_->reason());
+    ThreadState t(cfg_, entry, init_regs, mem, start_cycle);
+    while (t.res.retired < max_insts && boundary(t)) {
+        DynInst d(decodeAt(t.pc, mem));
+        if (!fetch(t, d))
             break;
-        }
-        if (pc & 3u) {
-            // A misaligned PC (jalr masks only bit 0) cannot be
-            // fetched; trap instead of decoding garbage.
-            res.faulted = true;
-            res.stop_pc = pc;
-            res.finish = last_commit;
-            res.stop_reason =
-                detail::vformat("trap: misaligned pc 0x%x", pc);
+        dispatch(t, d);
+        issue(t, d);
+        execute(t, d);
+        control(t, d);
+        if (!commit(t, d))
             break;
-        }
-        if (cfg_.max_cycles != 0 && last_commit > cfg_.max_cycles) {
-            res.timed_out = true;
-            res.stop_pc = pc;
-            res.finish = last_commit;
-            res.stop_reason = detail::vformat(
-                "watchdog: cycle ceiling exceeded (%llu > max_cycles "
-                "%llu)",
-                static_cast<unsigned long long>(last_commit),
-                static_cast<unsigned long long>(cfg_.max_cycles));
-            break;
-        }
-        const DecodedInst &di = decodeAt(pc, mem);
-        if (!di.valid()) {
-            res.faulted = true;
-            res.stop_pc = pc;
-            res.finish = last_commit;
-            res.stop_reason = detail::vformat(
-                "trap: invalid encoding at pc 0x%x", pc);
-            break;
-        }
-
-        // ---- fetch ----
-        Cycle f = std::max(fetch_cycle, redirect_gate);
-        const Addr line = alignDown(pc, 64);
-        if (line != cur_line) {
-            const mem::MemResult ir = mh_.fetchLine(core_id_, line, f);
-            if (ir.level != mem::ServedBy::L1)
-                f = std::max(f, ir.done);  // I-miss stalls the frontend
-            cur_line = line;
-        }
-        if (f > fetch_cycle) {
-            fetch_cycle = f;
-            fetch_in_cycle = 0;
-        }
-        if (fetch_in_cycle >= cfg_.width) {
-            fetch_cycle += 1;
-            fetch_in_cycle = 0;
-        }
-        const Cycle fetched = fetch_cycle;
-        ++fetch_in_cycle;
-
-        // ---- decode / rename / dispatch ----
-        Cycle dispatch = fetched + fe_latency;
-        // ROB entry must be free.
-        if (i >= cfg_.rob_entries)
-            dispatch = std::max(dispatch,
-                                commit_hist[i % cfg_.rob_entries]);
-        // IQ entry must be free.
-        if (i >= cfg_.iq_entries)
-            dispatch = std::max(dispatch,
-                                issue_hist[i % cfg_.iq_entries] + 1);
-        // LSQ entry must be free (memory ops only).
-        if (di.isMem()) {
-            if (memop_count >= cfg_.lsq_entries)
-                dispatch = std::max(
-                    dispatch,
-                    memop_hist[memop_count % cfg_.lsq_entries]);
-        }
-
-        // ---- operand readiness ----
-        u32 c_val = 0;
-        Cycle ops_ready =
-            std::max(reg_time(di.rs1), reg_time(di.rs2));
-        if (di.op == Op::SIMT_E) {
-            // Scalar semantics (the baseline has no simt hardware).
-            const auto ef = simtEndFields(di);
-            const DecodedInst &start_inst =
-                decodeAt(pc - ef.lOffset, mem);
-            panic_if(start_inst.op != Op::SIMT_S,
-                     "simt_e at 0x%x without simt_s", pc);
-            const RegId r_step = simtStartFields(start_inst).rStep;
-            ops_ready = std::max(ops_ready, reg_time(r_step));
-            c_val = reg_value(r_step);
-        } else if (di.rs3 != kNoReg) {
-            ops_ready = std::max(ops_ready, reg_time(di.rs3));
-            c_val = reg_value(di.rs3);
-        }
-        if (di.rs1 != kNoReg)
-            ++counters_[OooCounter::regfile_reads];
-        if (di.rs2 != kNoReg)
-            ++counters_[OooCounter::regfile_reads];
-
-        // ---- issue (wakeup/select) ----
-        FuPool &pool = poolFor(di.cls());
-        const Cycle want = std::max(dispatch + 1, ops_ready);
-        const ExecClass cls = di.cls();
-        const bool unpipelined = cls == ExecClass::IntDiv ||
-                                 cls == ExecClass::FpDiv ||
-                                 cls == ExecClass::FpSqrt;
-        const Cycle lat = execLatency(cls);
-        const Cycle issue = pool.acquire(want, unpipelined ? lat : 1);
-
-        // ---- execute ----
-        Cycle complete;
-        u32 value = 0;
-        bool redirect = false;
-        Addr target = 0;
-        bool halt = false;
-
-        if (di.isLoad()) {
-            const Addr ea = effectiveAddr(di, reg_value(di.rs1));
-            const Cycle addr_ready = issue + 1;
-            const Cycle ld_issue =
-                std::max(addr_ready, tracker.storeAddrGate());
-            ++counters_[OooCounter::lsq_searches];
-            const Cycle fwd = tracker.forwardProbe(ea,
-                                                   di.info().memBytes);
-            if (fwd != kNeverCycle) {
-                complete = std::max(ld_issue, fwd) + 1;
-                ++counters_[OooCounter::stl_forwards];
-            } else {
-                const mem::MemResult mr =
-                    mh_.dataAccess(core_id_, ea, false, ld_issue);
-                complete = mr.done;
-                switch (mr.level) {
-                  case mem::ServedBy::L1:
-                    ++counters_[OooCounter::l1_loads];
-                    break;
-                  case mem::ServedBy::L2:
-                    ++counters_[OooCounter::l2_loads];
-                    break;
-                  case mem::ServedBy::Dram:
-                    ++counters_[OooCounter::dram_loads];
-                    break;
-                }
-            }
-            value = loadExtend(di, mem.read(ea, di.info().memBytes));
-            memop_hist[memop_count++ % cfg_.lsq_entries] = complete;
-            ++counters_[OooCounter::loads];
-        } else if (di.isStore()) {
-            const Addr ea = effectiveAddr(di, reg_value(di.rs1));
-            complete = issue + 1;
-            // Program-order functional update; the cache write happens
-            // post-commit and only occupies the port. The address
-            // resolves once rs1 is ready (split STA/STD), so younger
-            // loads wait only on the address.
-            const Cycle addr_ready =
-                std::max(dispatch + 1, reg_time(di.rs1)) + 1;
-            mem.write(ea, reg_value(di.rs2), di.info().memBytes);
-            tracker.recordStore(ea, di.info().memBytes, addr_ready,
-                                complete);
-            mh_.dataAccess(core_id_, ea, true, complete);
-            memop_hist[memop_count++ % cfg_.lsq_entries] = complete;
-            ++counters_[OooCounter::stores];
-        } else {
-            const ExecOut eo = execute(di, pc, reg_value(di.rs1),
-                                       reg_value(di.rs2), c_val);
-            complete = issue + lat;
-            value = eo.value;
-            halt = eo.halt;
-            redirect = eo.redirect;
-            target = eo.target;
-            switch (cls) {
-              case ExecClass::IntMul: ++counters_[OooCounter::fu_mul]; break;
-              case ExecClass::IntDiv: ++counters_[OooCounter::fu_div]; break;
-              default:
-                ++counters_[di.isFp() ? OooCounter::fu_fpu
-                                      : OooCounter::fu_int];
-                break;
-            }
-        }
-
-        // ---- destination write ----
-        if (di.writesReg()) {
-            regs[di.rd] = value;
-            reg_ready[di.rd] = complete + cfg_.wakeup_delay;
-            ++counters_[OooCounter::regfile_writes];
-        }
-
-        // ---- control flow and prediction ----
-        const Addr next_pc = redirect ? target : pc + 4;
-        if (di.isBranch() || di.op == Op::SIMT_E) {
-            ++counters_[OooCounter::bp_lookups];
-            const bool taken = redirect;
-            const bool pred = gshare.predict(pc);
-            gshare.update(pc, taken);
-            if (pred != taken) {
-                ++counters_[OooCounter::mispredicts];
-                redirect_gate = std::max(
-                    redirect_gate, complete + cfg_.mispredict_penalty);
-            } else if (taken) {
-                fetch_cycle =
-                    std::max(fetch_cycle,
-                             fetched + cfg_.taken_branch_bubble);
-                fetch_in_cycle = 0;
-            }
-            if (taken)
-                cur_line = ~Addr{0};
-        } else if (di.op == Op::JAL) {
-            ++counters_[OooCounter::btb_lookups];
-            Addr btb_target = 0;
-            if (btb.lookup(pc, btb_target)) {
-                fetch_cycle = std::max(
-                    fetch_cycle, fetched + cfg_.taken_branch_bubble);
-            } else {
-                // Target becomes known at decode.
-                fetch_cycle = std::max(
-                    fetch_cycle, fetched + cfg_.btb_miss_penalty);
-                btb.insert(pc, target);
-            }
-            fetch_in_cycle = 0;
-            cur_line = ~Addr{0};
-            if (di.rd == 1)  // call: push the return address
-                ras.push(pc + 4);
-        } else if (di.op == Op::JALR) {
-            const bool is_ret = di.rd == kNoReg && di.rs1 == 1;
-            bool predicted = false;
-            if (is_ret) {
-                predicted = ras.pop() == target;
-                ++counters_[OooCounter::ras_lookups];
-            } else {
-                Addr btb_target = 0;
-                predicted = btb.lookup(pc, btb_target) &&
-                            btb_target == target;
-                btb.insert(pc, target);
-                ++counters_[OooCounter::btb_lookups];
-            }
-            if (predicted) {
-                fetch_cycle = std::max(
-                    fetch_cycle, fetched + cfg_.taken_branch_bubble);
-                fetch_in_cycle = 0;
-            } else {
-                ++counters_[OooCounter::mispredicts];
-                redirect_gate = std::max(
-                    redirect_gate, complete + cfg_.mispredict_penalty);
-            }
-            cur_line = ~Addr{0};
-            if (di.rd == 1)
-                ras.push(pc + 4);
-        }
-
-        // ---- commit (in order, width per cycle) ----
-        Cycle c = std::max(complete + 1, last_commit);
-        if (c > commit_cycle) {
-            commit_cycle = c;
-            commit_in_cycle = 0;
-        }
-        if (commit_in_cycle >= cfg_.width) {
-            commit_cycle += 1;
-            commit_in_cycle = 0;
-        }
-        const Cycle commit = commit_cycle;
-        ++commit_in_cycle;
-        last_commit = commit;
-        commit_hist[i % cfg_.rob_entries] = commit;
-        issue_hist[i % cfg_.iq_entries] = issue;
-        ++res.retired;
-
-        if (halt) {
-            res.halted = true;
-            res.stop_pc = pc;
-            res.finish = commit;
-            break;
-        }
-        pc = next_pc;
-        res.finish = commit;
     }
-
     // Every retired instruction passed each pipeline stage exactly
     // once, so the stage counters advance by the retired count.
     for (OooCounter c :
          {OooCounter::fetches, OooCounter::decodes, OooCounter::renames,
           OooCounter::dispatches, OooCounter::issues,
           OooCounter::iq_wakeups, OooCounter::commits})
-        counters_[c] += res.retired;
-    if (!res.halted && !res.faulted && !res.timed_out) {
-        res.timed_out = true;
-        res.stop_reason = detail::vformat(
-            "instruction budget exhausted (%llu retired)",
-            static_cast<unsigned long long>(res.retired));
+        counters_[c] += t.res.retired;
+    t.res.finish = t.commit_slots.cycle;
+    t.res.stop_pc = t.pc;
+    std::copy(std::begin(t.regs), std::end(t.regs), t.res.regs);
+    return std::move(t.res);
+}
+
+bool
+OooCore::boundary(ThreadState &t)
+{
+    if (sim::boundaryStop(cancel_, t.res.retired, t.pc, t.res))
+        return false;
+    if (t.wd.onCycle(t.commit_slots.cycle)) {
+        t.res.timed_out = true;
+        t.res.stop_reason = t.wd.reason();
+        return false;
     }
-    for (unsigned r = 0; r < kNumRegs; ++r)
-        res.regs[r] = regs[r];
-    return res;
+    return true;
+}
+
+bool
+OooCore::fetch(ThreadState &t, DynInst &d)
+{
+    if (!d.di.valid()) {
+        t.res.faulted = true;
+        t.res.stop_reason =
+            detail::vformat("trap: invalid encoding at pc 0x%x", t.pc);
+        return false;
+    }
+    Cycle f = std::max(t.fetch_slots.cycle, t.redirect_gate);
+    const Addr line = alignDown(t.pc, 64);
+    if (line != t.cur_line) {
+        const mem::MemResult ir = mh_.fetchLine(core_id_, line, f);
+        if (ir.level != mem::ServedBy::L1)
+            f = std::max(f, ir.done);  // I-miss stalls the frontend
+        t.cur_line = line;
+    }
+    d.fetched = t.fetch_slots.take(f, cfg_.width);
+    return true;
+}
+
+void
+OooCore::dispatch(ThreadState &t, DynInst &d)
+{
+    const u64 i = t.res.retired;  // the instruction's ROB/IQ slot
+    d.dispatched = d.fetched + cfg_.decode_latency + cfg_.rename_latency +
+                   cfg_.dispatch_latency;
+    if (i >= cfg_.rob_entries)
+        d.dispatched = std::max(d.dispatched, t.rob[i % cfg_.rob_entries]);
+    if (i >= cfg_.iq_entries)
+        d.dispatched =
+            std::max(d.dispatched, t.iq[i % cfg_.iq_entries] + 1);
+    if (d.di.isMem() && t.memops >= cfg_.lsq_entries)
+        d.dispatched =
+            std::max(d.dispatched, t.lsq[t.memops % cfg_.lsq_entries]);
+}
+
+void
+OooCore::issue(ThreadState &t, DynInst &d)
+{
+    const DecodedInst &di = d.di;
+    Cycle ops_ready = std::max(t.ready(di.rs1), t.ready(di.rs2));
+    if (di.op == Op::SIMT_E) {
+        // Scalar semantics (the baseline has no simt hardware).
+        const auto ef = simtEndFields(di);
+        const DecodedInst &start_inst = decodeAt(t.pc - ef.lOffset, t.mem);
+        panic_if(start_inst.op != Op::SIMT_S,
+                 "simt_e at 0x%x without simt_s", t.pc);
+        const RegId r_step = simtStartFields(start_inst).rStep;
+        ops_ready = std::max(ops_ready, t.ready(r_step));
+        d.c_val = t.value(r_step);
+    } else if (di.rs3 != kNoReg) {
+        ops_ready = std::max(ops_ready, t.ready(di.rs3));
+        d.c_val = t.value(di.rs3);
+    }
+    if (di.rs1 != kNoReg)
+        ++counters_[OooCounter::regfile_reads];
+    if (di.rs2 != kNoReg)
+        ++counters_[OooCounter::regfile_reads];
+
+    const ExecClass cls = di.cls();
+    const bool unpipelined = cls == ExecClass::IntDiv ||
+                             cls == ExecClass::FpDiv ||
+                             cls == ExecClass::FpSqrt;
+    d.issued = poolFor(cls).acquire(std::max(d.dispatched + 1, ops_ready),
+                                    unpipelined ? execLatency(cls) : 1);
+}
+
+void
+OooCore::execute(ThreadState &t, DynInst &d)
+{
+    const DecodedInst &di = d.di;
+    if (di.isLoad()) {
+        const Addr ea = effectiveAddr(di, t.value(di.rs1));
+        const Cycle ld_issue =
+            std::max(d.issued + 1, t.tracker.storeAddrGate());
+        ++counters_[OooCounter::lsq_searches];
+        const Cycle fwd = t.tracker.forwardProbe(ea, di.info().memBytes);
+        if (fwd != kNeverCycle) {
+            d.complete = std::max(ld_issue, fwd) + 1;
+            ++counters_[OooCounter::stl_forwards];
+        } else {
+            const mem::MemResult mr =
+                mh_.dataAccess(core_id_, ea, false, ld_issue);
+            d.complete = mr.done;
+            switch (mr.level) {
+              case mem::ServedBy::L1:
+                ++counters_[OooCounter::l1_loads];
+                break;
+              case mem::ServedBy::L2:
+                ++counters_[OooCounter::l2_loads];
+                break;
+              case mem::ServedBy::Dram:
+                ++counters_[OooCounter::dram_loads];
+                break;
+            }
+        }
+        d.value = loadExtend(di, t.mem.read(ea, di.info().memBytes));
+        t.lsq[t.memops++ % cfg_.lsq_entries] = d.complete;
+        ++counters_[OooCounter::loads];
+    } else if (di.isStore()) {
+        const Addr ea = effectiveAddr(di, t.value(di.rs1));
+        d.complete = d.issued + 1;
+        // Program-order functional update; the cache write happens
+        // post-commit and only occupies the port. The address
+        // resolves once rs1 is ready (split STA/STD), so younger
+        // loads wait only on the address.
+        const Cycle addr_ready =
+            std::max(d.dispatched + 1, t.ready(di.rs1)) + 1;
+        t.mem.write(ea, t.value(di.rs2), di.info().memBytes);
+        t.tracker.recordStore(ea, di.info().memBytes, addr_ready,
+                              d.complete);
+        mh_.dataAccess(core_id_, ea, true, d.complete);
+        t.lsq[t.memops++ % cfg_.lsq_entries] = d.complete;
+        ++counters_[OooCounter::stores];
+    } else {
+        const ExecOut eo = isa::execute(di, t.pc, t.value(di.rs1),
+                                        t.value(di.rs2), d.c_val);
+        const ExecClass cls = di.cls();
+        d.complete = d.issued + execLatency(cls);
+        d.value = eo.value;
+        d.halt = eo.halt;
+        d.redirect = eo.redirect;
+        d.target = eo.target;
+        switch (cls) {
+          case ExecClass::IntMul: ++counters_[OooCounter::fu_mul]; break;
+          case ExecClass::IntDiv: ++counters_[OooCounter::fu_div]; break;
+          default:
+            ++counters_[di.isFp() ? OooCounter::fu_fpu
+                                  : OooCounter::fu_int];
+            break;
+        }
+    }
+    if (di.writesReg()) {
+        t.regs[di.rd] = d.value;
+        t.reg_ready[di.rd] = d.complete + cfg_.wakeup_delay;
+        ++counters_[OooCounter::regfile_writes];
+    }
+}
+
+void
+OooCore::control(ThreadState &t, const DynInst &d)
+{
+    const DecodedInst &di = d.di;
+    enum class Outcome : u8 { None, Bubble, BtbMiss, Mispredict };
+    Outcome out = Outcome::None;
+    if (di.isBranch() || di.op == Op::SIMT_E) {
+        ++counters_[OooCounter::bp_lookups];
+        const bool pred = t.gshare.predict(t.pc);
+        t.gshare.update(t.pc, d.redirect);
+        out = pred != d.redirect ? Outcome::Mispredict
+              : d.redirect       ? Outcome::Bubble
+                                 : Outcome::None;
+    } else if (di.op == Op::JAL) {
+        // On a BTB miss the target is known only at decode.
+        ++counters_[OooCounter::btb_lookups];
+        Addr btb_target = 0;
+        out = t.btb.lookup(t.pc, btb_target) ? Outcome::Bubble
+                                             : Outcome::BtbMiss;
+        if (out == Outcome::BtbMiss)
+            t.btb.insert(t.pc, d.target);
+    } else if (di.op == Op::JALR) {
+        bool predicted = false;
+        if (di.rd == kNoReg && di.rs1 == 1) {  // return
+            predicted = t.ras.pop() == d.target;
+            ++counters_[OooCounter::ras_lookups];
+        } else {
+            Addr btb_target = 0;
+            predicted = t.btb.lookup(t.pc, btb_target) &&
+                        btb_target == d.target;
+            t.btb.insert(t.pc, d.target);
+            ++counters_[OooCounter::btb_lookups];
+        }
+        out = predicted ? Outcome::Bubble : Outcome::Mispredict;
+    }
+    if ((di.op == Op::JAL || di.op == Op::JALR) && di.rd == 1)
+        t.ras.push(t.pc + 4);  // call: push the return address
+
+    switch (out) {
+      case Outcome::None:
+        break;
+      case Outcome::Bubble:
+        t.fetch_slots.stall(d.fetched + cfg_.taken_branch_bubble);
+        break;
+      case Outcome::BtbMiss:
+        t.fetch_slots.stall(d.fetched + cfg_.btb_miss_penalty);
+        break;
+      case Outcome::Mispredict:
+        ++counters_[OooCounter::mispredicts];
+        t.redirect_gate = std::max(t.redirect_gate,
+                                   d.complete + cfg_.mispredict_penalty);
+        break;
+    }
+    if (d.redirect)
+        t.cur_line = ~Addr{0};  // refetch from the target's line
+}
+
+bool
+OooCore::commit(ThreadState &t, const DynInst &d)
+{
+    const u64 i = t.res.retired++;
+    t.rob[i % cfg_.rob_entries] =
+        t.commit_slots.take(d.complete + 1, cfg_.width);
+    t.iq[i % cfg_.iq_entries] = d.issued;
+    if (d.halt) {
+        t.res.halted = true;
+        return false;
+    }
+    t.pc = d.redirect ? d.target : t.pc + 4;
+    return true;
 }
 
 } // namespace diag::ooo

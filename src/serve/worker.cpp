@@ -26,16 +26,6 @@ namespace diag::serve
 namespace
 {
 
-/** The engine's host-watchdog stop (vs an in-sim budget stop). */
-bool
-hostStopped(const sim::RunStats &s)
-{
-    // Not a prefix test: multi-thread runs wrap the reason as
-    // "thread N: host watchdog: ...".
-    return s.timed_out &&
-           s.stop_reason.find("host watchdog") != std::string::npos;
-}
-
 /**
  * The uninjected in-process attempt body, shared by the pool-worker
  * path and the forked child. @p tok may be null (no deadline, no
@@ -73,7 +63,7 @@ runBody(const ValidatedRequest &v, const host::CancelToken *tok,
         r.payload = renderPayload(run.stats, run.checked);
         return r;
     }
-    if (hostStopped(run.stats)) {
+    if (run.stats.hostStopped()) {
         r.fail = FailKind::Timeout;
         r.cancelled = tok != nullptr && tok->cancelled();
         r.reason = run.stats.stop_reason;

@@ -28,9 +28,10 @@ namespace diag::sim
  * A processor over units of type @p Unit. A unit names its engine's
  * Config and Counters types and provides reset(), setCancelToken() and
  * runThread(entry, init_regs, mem, start_cycle, max_insts) returning a
- * ThreadResult. An engine's processor derives from the shell, builds
- * its units in its constructor and overrides the hooks for what only
- * it has.
+ * ThreadResult, stopping under boundaryStop()'s rules; the shell
+ * reports a spent instruction budget. An engine's processor derives
+ * from the shell, builds its units in its constructor and overrides
+ * the hooks for what only it has.
  */
 template <class Unit>
 class Processor
@@ -226,6 +227,12 @@ Processor<Unit>::runThreads(const Program &prog,
         const Cycle launch = unit_free[u];
         ThreadResult tr = units_[u]->runThread(spec.entry, spec.init_regs,
                                                mem_, launch, max_insts);
+        if (!tr.halted && !tr.faulted && !tr.timed_out && !tr.aborted) {
+            tr.timed_out = true;  // the unit spent its budget
+            tr.stop_reason = detail::vformat(
+                "instruction budget exhausted (%llu retired)",
+                static_cast<unsigned long long>(tr.retired));
+        }
         onThread(u, t, spec, launch, tr);
         unit_free[u] = tr.finish;
         if (tr.faulted)

@@ -14,6 +14,7 @@
 #include "common/log.hpp"
 #include "common/stats.hpp"
 #include "common/types.hpp"
+#include "host/cancel.hpp"
 #include "isa/opcodes.hpp"
 
 namespace diag::sim
@@ -57,6 +58,34 @@ struct ThreadResult
     u32 regs[isa::kNumRegs] = {}; //!< architectural registers at stop
 };
 
+/**
+ * The stops every unit checks at its boundary number @p n (a DiAG
+ * activation, an OoO instruction) before running @p pc: host
+ * cancellation (@p cancel's flag every boundary, its wall-clock
+ * deadline at the first and every 64th after) and the misaligned-pc
+ * trap (jalr clears only bit 0). True, with @p res's flag and
+ * stop_reason set, when the thread stops here. A unit that spends its
+ * instruction budget returns unflagged; the processor reports it.
+ */
+inline bool
+boundaryStop(const host::CancelToken *cancel, u64 n, Addr pc,
+             ThreadResult &res)
+{
+    if (cancel && (cancel->cancelled() ||
+                   ((n & 63) == 0 && cancel->expired()))) {
+        res.timed_out = true;
+        res.stop_reason =
+            detail::vformat("host watchdog: %s", cancel->reason());
+        return true;
+    }
+    if (pc & 3u) {
+        res.faulted = true;
+        res.stop_reason = detail::vformat("trap: misaligned pc 0x%x", pc);
+        return true;
+    }
+    return false;
+}
+
 /** Result of running a workload on a timing model. */
 struct RunStats
 {
@@ -68,6 +97,15 @@ struct RunStats
     bool aborted = false;    //!< detected-unrecoverable fault abort
     std::string stop_reason; //!< one-line reason when not halted
     StatGroup counters{"run"}; //!< model-specific activity counters
+
+    /** A fired host::CancelToken stopped the run, not the model.
+     *  (The reason reads "thread N: host watchdog: ...".) */
+    bool
+    hostStopped() const
+    {
+        return timed_out &&
+               stop_reason.find("host watchdog") != std::string::npos;
+    }
 
     double
     ipc() const

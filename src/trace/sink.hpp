@@ -1,10 +1,10 @@
 /**
  * @file
- * TraceSink: where recorded events go. The standard implementation is
- * a fixed-capacity binary ring buffer — recording is one store plus an
- * index increment, the buffer never reallocates mid-run, and when it
- * wraps the oldest events are dropped (counted, so exporters can say
- * so) rather than stalling the simulation.
+ * RingBufferSink: where recorded events go. A fixed-capacity binary
+ * ring buffer — recording is one store plus an index increment, the
+ * buffer never reallocates mid-run, and when it wraps the oldest events
+ * are dropped (counted, so exporters can say so) rather than stalling
+ * the simulation.
  *
  * Concurrency contract: sinks follow the counter-set confinement rule
  * (DESIGN.md §10) — a sink is unsynchronized and must stay confined to
@@ -22,18 +22,8 @@
 namespace diag::trace
 {
 
-/** Abstract event consumer. */
-class TraceSink
-{
-  public:
-    virtual ~TraceSink() = default;
-
-    /** Record one event (hot path; must not throw). */
-    virtual void record(const TraceEvent &ev) = 0;
-};
-
 /** Bounded in-memory recorder; drops the oldest events when full. */
-class RingBufferSink : public TraceSink
+class RingBufferSink
 {
   public:
     explicit RingBufferSink(size_t capacity = size_t{1} << 20)
@@ -42,8 +32,9 @@ class RingBufferSink : public TraceSink
         buf_.reserve(capacity_ < 4096 ? capacity_ : 4096);
     }
 
+    /** Record one event (hot path; must not throw). */
     void
-    record(const TraceEvent &ev) override
+    record(const TraceEvent &ev)
     {
         if (buf_.size() < capacity_) {
             buf_.push_back(ev);

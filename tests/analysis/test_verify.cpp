@@ -1,9 +1,8 @@
 /**
  * diag-verify tests: the abstract domain's algebra, then one fixture
  * per verifier diagnostic kind that triggers it and one that stays
- * silent (mirroring test_lint.cpp), the strict-mode processor gate,
- * and the bundled workloads verifying clean against their declared
- * data maps.
+ * silent (mirroring test_lint.cpp), and the bundled workloads
+ * verifying clean against their declared data maps.
  */
 #include <gtest/gtest.h>
 
@@ -12,7 +11,6 @@
 #include "analysis/absint.hpp"
 #include "analysis/verify.hpp"
 #include "asm/assembler.hpp"
-#include "diag/processor.hpp"
 #include "workloads/workload.hpp"
 
 using namespace diag;
@@ -446,44 +444,6 @@ TEST(VerifyRender, TextAndJsonNameEveryProperty)
         EXPECT_NE(json.find(name), std::string::npos) << name;
     }
     EXPECT_NE(text.find("refuted"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------
-// Strict-mode wiring: DiagConfig::verify_enabled gates the run.
-// ---------------------------------------------------------------------
-
-TEST(VerifyStrict, ProcessorRejectsProvenViolation)
-{
-    core::DiagConfig cfg = core::DiagConfig::f4c2();
-    cfg.lint_enabled = false;  // let the verifier be the gate
-    cfg.verify_enabled = true;
-    const Program prog = assembler::assemble(kDivByZero);
-    core::DiagProcessor proc(cfg);
-    EXPECT_EXIT(proc.run(prog, 1000),
-                ::testing::ExitedWithCode(1),
-                "rejected by the verifier");
-}
-
-TEST(VerifyStrict, ProcessorAcceptsCleanProgram)
-{
-    core::DiagConfig cfg = core::DiagConfig::f4c2();
-    cfg.verify_enabled = true;
-    const Program prog = assembler::assemble(R"(
-        .data
-        .space 16
-        .text
-    _start:
-        li t0, 0x100000
-        li t1, 6
-        li t2, 7
-        add t3, t1, t2
-        sw t3, 0(t0)
-        ebreak
-)");
-    core::DiagProcessor proc(cfg);
-    const sim::RunStats rs = proc.run(prog, 1000);
-    EXPECT_TRUE(rs.halted);
-    EXPECT_EQ(proc.finalReg(0, 28), 13u);  // t3
 }
 
 // ---------------------------------------------------------------------

@@ -21,7 +21,7 @@ struct Rig
     DiagCounters counters;
     ActivationEngine engine{cfg, mh, 0, counters};
     SparseMemory mem;
-    ThreadMemCtx tmc{mem, cfg.mem_lane_entries};
+    sim::StoreTracker tmc{mem, cfg.mem_lane_entries};
     Cluster cl;
     /** Lane file, updated in place by run(); holds the output-latch
      *  state afterwards (what ActivationOutput::regs used to carry). */

@@ -102,6 +102,7 @@ TEST(Harness, ExpiredTokenStopsBothEngines)
          {runOnDiag(core::DiagConfig::f4c16(), nn, spec),
           runOnOoo(ooo::OooConfig::baseline8(), nn, spec)}) {
         EXPECT_TRUE(run.stats.timed_out);
+        EXPECT_TRUE(run.stats.hostStopped());
         EXPECT_FALSE(run.stats.halted);
         EXPECT_EQ(run.stats.instructions, 0u);
         EXPECT_FALSE(run.checked);
