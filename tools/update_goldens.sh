@@ -16,16 +16,18 @@
 #                                (1 and 12 threads) and on DiAG (serial,
 #                                simt, 16 threads, F4C2) (`stats_goldens`);
 #   timing_digests.json          cycles, instructions and output hashes
-#                                of every workload (F4C32 serial and
-#                                simt, F4C2), the ablation benches'
-#                                cells (no reuse on every Rodinia
-#                                workload, no memory lanes and stride
-#                                prefetch on the workloads their benches
-#                                list), the 130 Fig 9a/9b/10a/10b/12
-#                                cells of harness::paperCells() (keyed
-#                                cell/<cell name>), the fuzz corpus, the
-#                                loop and simt-fallback kernels and the
-#                                nn trace/address-log/fault-campaign
+#                                of the 130 Fig 9a/9b/10a/10b/12 cells
+#                                of harness::paperCells() (keyed
+#                                cell/<cell name>; the F4C32 and F4C2
+#                                serial workload sweeps compare against
+#                                these rows too), every simt workload on
+#                                F4C32, the ablation benches' cells (no
+#                                reuse on every Rodinia workload, no
+#                                memory lanes and stride prefetch on the
+#                                workloads their benches list), the fuzz
+#                                corpus on DiAG and on the OoO baseline,
+#                                the loop and simt-fallback kernels and
+#                                the nn trace/address-log/fault-campaign
 #                                runs (every case in
 #                                tests/diag/test_timing_digests.cpp);
 #   figures/<binary>.txt         stdout of each table/figure/ablation
