@@ -5,18 +5,20 @@
  * serial, the ablation benches' no-reuse, no-memory-lane and
  * stride-prefetch cells, and every Fig 9a/9b/10a/10b/12 cell), a
  * seeded fuzz program on DiAG or on the OoO baseline, a handwritten
- * loop kernel, or the nn workload under the tracer, the address
- * recorder or a fault campaign — and compares a one-line digest
+ * loop kernel on DiAG F4C32 and on the 1-core OoO baseline, or the nn
+ * workload under the tracer, the address recorder or a fault
+ * campaign — and compares a one-line digest
  * (cycles, instructions and FNV-1a hashes of the counter dump, the
  * final architectural state or the rendered bytes) against
  * tests/golden/timing_digests.json. A serial F4C32 or F4C2 run is a
  * paper cell and shares its `cell/` row.
  *
- * The SkipIdle* rows were recorded while the dense per-PE stepping
- * path and the skip-idle fast paths still ran side by side and agreed
- * bit for bit on every one of these inputs, so a passing case means
- * today's single path still reproduces the dense reference exactly.
- * The AblationDigests rows pin the counters of configurations no
+ * The SkipIdle* DiAG rows were recorded while the dense per-PE
+ * stepping path and the skip-idle fast paths still ran side by side
+ * and agreed bit for bit on every one of these inputs, so a passing
+ * case means today's single path still reproduces the dense reference
+ * exactly. The `kernel-ooo/` rows and the KernelDigests kernel came
+ * later and pin the engines as they were then. The AblationDigests rows pin the counters of configurations no
  * other golden runs, and the EngineWorkload checks pin each of the 130
  * cells of harness::paperCells() under `cell/<cell name>`, five checks
  * per workload by engine and mode. After an intended model change,
@@ -429,14 +431,27 @@ INSTANTIATE_TEST_SUITE_P(Seeds, OooFuzz, ::testing::Range<u64>(1, 13));
 namespace
 {
 
+/** Run one kernel on @p proc; compare against the `<tag>/<key>` row. */
+template <class Proc>
+void
+kernelOn(const std::string &tag, const typename Proc::Config &cfg,
+         const std::string &key, const Program &p)
+{
+    Proc proc(cfg);
+    const sim::RunStats rs = proc.run(p);
+    ASSERT_TRUE(rs.halted) << tag << "/" << key;
+    checkDigest(tag + "/" + key, stateDigest(rs, stateHash(rs, proc)));
+}
+
+/** A kernel on DiAG F4C32 (`kernel/`) and on the 1-core OoO
+ *  baseline (`kernel-ooo/`). */
 void
 kernel(const std::string &key, const std::string &src)
 {
     const Program p = assembler::assemble(src);
-    DiagProcessor proc(DiagConfig::f4c32());
-    const sim::RunStats rs = proc.run(p);
-    ASSERT_TRUE(rs.halted) << key;
-    checkDigest("kernel/" + key, stateDigest(rs, stateHash(rs, proc)));
+    kernelOn<DiagProcessor>("kernel", DiagConfig::f4c32(), key, p);
+    kernelOn<ooo::OooProcessor>("kernel-ooo", ooo::OooConfig::baseline8(),
+                                key, p);
 }
 
 } // namespace
@@ -579,6 +594,41 @@ TEST(SkipIdleEquivalence, SimtFallbackLoop)
     kernel("simt_fallback_in_line", src(10, 0));
     kernel("simt_fallback_halt", src(1, 0));
     kernel("simt_fallback_across_lines", src(10, 12));
+}
+
+TEST(KernelDigests, CallInCountedLoop)
+{
+    // A call per outer trip to a helper that divides, multiplies and
+    // returns: BTB hits on the `jal` after the first trip, RAS
+    // returns, and the unpipelined divider's calendar. Each inner trip
+    // of independent ALU work is one fetch group cut by its taken
+    // branch, so an outer trip takes longer than the divider's
+    // 12-cycle occupancy and the OoO frontend sets its pace: a bubble
+    // more on each BTB hit shows up in cycles.
+    kernel("call_in_loop", R"(
+        _start:
+            li a0, 0
+            li a1, 100
+            li s0, 1000
+            li s1, 7
+        outer:
+            call helper
+            li a2, 0
+            li a3, 12
+        inner:
+            addi t0, a2, 1
+            xori t1, a2, 5
+            slli t2, a2, 2
+            addi a2, a2, 1
+            bne a2, a3, inner
+            addi a0, a0, 1
+            bne a0, a1, outer
+            ebreak
+        helper:
+            div t5, s0, s1
+            mul t6, t5, s1
+            ret
+    )");
 }
 
 // --- Observers: trace bytes, address log, fault campaign. ----------

@@ -5,8 +5,11 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
+#include <set>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "common/sparse_mem.hpp"
 
 using namespace diag;
@@ -33,6 +36,98 @@ TEST(SparseMemory, MisalignedWriteStraddlesPageBoundary)
     EXPECT_EQ(mem.read8(last + 2), 0xbbu);
     EXPECT_EQ(mem.read8(last + 3), 0xaau);
     EXPECT_EQ(mem.numPages(), 2u);
+}
+
+TEST(SparseMemory, EveryStraddlingOffsetRoundTrips)
+{
+    constexpr Addr kEdge = 5 * SparseMemory::kPageSize;
+    const u32 value = 0x8192a3b4;
+    for (const unsigned bytes : {2u, 4u}) {
+        for (unsigned before = 1; before < bytes; ++before) {
+            SCOPED_TRACE(::testing::Message() << bytes << " bytes, "
+                                              << before << " before the edge");
+            SparseMemory mem;
+            const Addr addr = kEdge - before;
+            mem.write(addr, value, bytes);
+            EXPECT_EQ(mem.numPages(), 2u);
+            const u32 mask = bytes == 4 ? ~0u : 0xffffu;
+            EXPECT_EQ(mem.read(addr, bytes), value & mask);
+            for (unsigned i = 0; i < bytes; ++i)
+                EXPECT_EQ(mem.read8(addr + i), (value >> (8 * i)) & 0xff)
+                    << "byte " << i;
+            // Nothing outside [addr, addr + bytes) was written.
+            EXPECT_EQ(mem.read8(addr - 1), 0u);
+            EXPECT_EQ(mem.read8(addr + bytes), 0u);
+        }
+    }
+}
+
+TEST(SparseMemory, StraddlingReadOfAnAbsentPageReadsZeroAndAllocatesNothing)
+{
+    constexpr Addr kEdge = 7 * SparseMemory::kPageSize;
+    // Only the page below the edge is resident.
+    SparseMemory low;
+    low.write8(kEdge - 1, 0xa5);
+    EXPECT_EQ(low.read16(kEdge - 1), 0x00a5u);
+    for (unsigned before = 1; before < 4; ++before)
+        EXPECT_EQ(low.read32(kEdge - before), 0xa5u << (8 * (before - 1)))
+            << before << " before the edge";
+    EXPECT_EQ(low.numPages(), 1u);
+
+    // Only the page above the edge is resident.
+    SparseMemory high;
+    high.write8(kEdge, 0x5a);
+    EXPECT_EQ(high.read16(kEdge - 1), 0x5a00u);
+    for (unsigned before = 1; before < 4; ++before)
+        EXPECT_EQ(high.read32(kEdge - before), 0x5au << (8 * before))
+            << before << " before the edge";
+    EXPECT_EQ(high.numPages(), 1u);
+
+    // Neither is.
+    SparseMemory none;
+    EXPECT_EQ(none.read16(kEdge - 1), 0u);
+    EXPECT_EQ(none.read32(kEdge - 2), 0u);
+    EXPECT_EQ(none.numPages(), 0u);
+}
+
+TEST(SparseMemory, WordAccessesNearPageEdgesMatchByteComposition)
+{
+    // Seeded reads and writes of every width at addresses within four
+    // bytes of a page edge, against a byte map: each read must equal
+    // the little-endian composition of the bytes written, and exactly
+    // the pages written to must be resident.
+    constexpr Addr kPage = SparseMemory::kPageSize;
+    for (u64 seed = 1; seed <= 4; ++seed) {
+        SparseMemory mem;
+        std::map<Addr, u8> ref;
+        std::set<Addr> pages;
+        Rng rng(seed);
+        for (unsigned k = 0; k < 4000; ++k) {
+            SCOPED_TRACE(::testing::Message() << "seed " << seed
+                                              << " op " << k);
+            const Addr edge = static_cast<Addr>(1 + rng.below(3)) * kPage;
+            const Addr addr = edge - 4 + static_cast<Addr>(rng.below(8));
+            const unsigned bytes = 1u << rng.below(3);
+            if (rng.below(2) == 0) {
+                const u32 value = rng.next32();
+                mem.write(addr, value, bytes);
+                for (unsigned i = 0; i < bytes; ++i) {
+                    ref[addr + i] = static_cast<u8>(value >> (8 * i));
+                    pages.insert((addr + i) / kPage);
+                }
+            } else {
+                u32 expect = 0;
+                for (unsigned i = 0; i < bytes; ++i) {
+                    const auto it = ref.find(addr + i);
+                    if (it != ref.end())
+                        expect |= static_cast<u32>(it->second) << (8 * i);
+                }
+                ASSERT_EQ(mem.read(addr, bytes), expect)
+                    << bytes << " bytes at 0x" << std::hex << addr;
+            }
+            ASSERT_EQ(mem.numPages(), pages.size());
+        }
+    }
 }
 
 TEST(SparseMemory, BlockCopyAcrossPages)

@@ -26,7 +26,8 @@
 #                                memory lanes and stride prefetch on the
 #                                workloads their benches list), the fuzz
 #                                corpus on DiAG and on the OoO baseline,
-#                                the loop and simt-fallback kernels and
+#                                the loop, call and simt-fallback kernels
+#                                on both engines and
 #                                the nn trace/address-log/fault-campaign
 #                                runs (every case in
 #                                tests/diag/test_timing_digests.cpp);
