@@ -14,9 +14,13 @@
  * processing order only while nothing has been dropped: a full window
  * drops the reservation that starts earliest, and a later request that
  * arrives before it no longer sees it.
- * Intervals already over at the arrival time are skipped by binary
- * search (DESIGN.md §5.1), so a request costs O(log n) plus the gaps
- * it walks past.
+ * The search for the first interval still open at the arrival time
+ * starts from the newest reservation and steps back in doubling
+ * strides before a binary search inside the last stride (DESIGN.md
+ * §5.1): most requests arrive near the latest reservations, so a
+ * request costs O(log k), k being the reservations that end after it
+ * arrives, plus the gaps it walks past. A drop only advances a front
+ * offset; the dropped prefix is erased once every `capacity` drops.
  */
 #ifndef DIAG_COMMON_CALENDAR_HPP
 #define DIAG_COMMON_CALENDAR_HPP
@@ -55,8 +59,11 @@ class BusyCalendar
         const Gap gap = findGap(now, occupancy);
         iv_.insert(iv_.begin() + static_cast<long>(gap.pos),
                    {gap.start, gap.start + occupancy});
-        if (iv_.size() > cap_)
-            iv_.erase(iv_.begin());  // drop the earliest-starting one
+        if (size() > cap_ && ++head_ >= cap_) {  // dropped the earliest
+            // Erase the dropped prefix once every cap_ drops.
+            iv_.erase(iv_.begin(), iv_.begin() + static_cast<long>(head_));
+            head_ = 0;
+        }
         return gap.start;
     }
 
@@ -64,13 +71,19 @@ class BusyCalendar
     bool
     busyAt(Cycle t) const
     {
-        const auto it = firstEndingAfter(t);
-        return it != iv_.end() && it->start <= t;
+        const size_t i = firstEndingAfter(t);
+        return i < iv_.size() && iv_[i].start <= t;
     }
 
-    void clear() { iv_.clear(); }
+    void
+    clear()
+    {
+        iv_.clear();
+        head_ = 0;
+    }
 
-    size_t size() const { return iv_.size(); }
+    /** Live reservations. */
+    size_t size() const { return iv_.size() - head_; }
 
   private:
     struct Interval
@@ -87,17 +100,32 @@ class BusyCalendar
     };
 
     /**
-     * First reservation that ends after @p t. Every reservation is
-     * placed in a gap, so the intervals are disjoint and sorted by
-     * start, hence also by end: the ones ending at or before @p t form
-     * a prefix, found by binary search.
+     * Index of the first live reservation that ends after @p t. Every
+     * reservation is placed in a gap, so the intervals are disjoint
+     * and sorted by start, hence also by end: the ones ending at or
+     * before @p t form a prefix. Its end is searched for back from the
+     * newest reservation in doubling strides, then by binary search
+     * inside the last stride.
      */
-    std::vector<Interval>::const_iterator
+    size_t
     firstEndingAfter(Cycle t) const
     {
-        return std::partition_point(
-            iv_.begin(), iv_.end(),
-            [t](const Interval &iv) { return iv.end <= t; });
+        size_t lo = head_;         // everything before lo ends by t
+        size_t hi = iv_.size();    // everything from hi ends after t
+        for (size_t stride = 1; hi > lo; stride *= 2) {
+            const size_t i = hi - std::min(stride, hi - lo);
+            if (iv_[i].end <= t) {
+                lo = i + 1;
+                break;
+            }
+            hi = i;
+        }
+        return static_cast<size_t>(
+            std::partition_point(
+                iv_.begin() + static_cast<long>(lo),
+                iv_.begin() + static_cast<long>(hi),
+                [t](const Interval &iv) { return iv.end <= t; }) -
+            iv_.begin());
     }
 
     /** Shared search of probe() and reserve(). */
@@ -105,17 +133,20 @@ class BusyCalendar
     findGap(Cycle now, Cycle occupancy) const
     {
         Cycle t = now;
-        auto it = firstEndingAfter(now);
-        for (; it != iv_.end(); ++it) {
-            if (t + occupancy <= it->start)
+        size_t i = firstEndingAfter(now);
+        for (; i < iv_.size(); ++i) {
+            if (t + occupancy <= iv_[i].start)
                 break;  // the gap before this interval fits
-            t = std::max(t, it->end);
+            t = std::max(t, iv_[i].end);
         }
-        return {t, static_cast<size_t>(it - iv_.begin())};
+        return {t, i};
     }
 
     size_t cap_;
-    std::vector<Interval> iv_;  // sorted by start and by end, disjoint
+    /** Live reservations are iv_[head_..]; the ones before were
+     *  dropped. Sorted by start and by end, disjoint. */
+    std::vector<Interval> iv_;
+    size_t head_ = 0;
 };
 
 } // namespace diag

@@ -55,33 +55,13 @@ class SparseMemory
         page(addr)[addr & (kPageSize - 1)] = value;
     }
 
-    u16
-    read16(Addr addr) const
-    {
-        return static_cast<u16>(read8(addr)) |
-               (static_cast<u16>(read8(addr + 1)) << 8);
-    }
+    u16 read16(Addr addr) const { return static_cast<u16>(readLE(addr, 2)); }
 
-    void
-    write16(Addr addr, u16 value)
-    {
-        write8(addr, static_cast<u8>(value));
-        write8(addr + 1, static_cast<u8>(value >> 8));
-    }
+    void write16(Addr addr, u16 value) { writeLE(addr, value, 2); }
 
-    u32
-    read32(Addr addr) const
-    {
-        return static_cast<u32>(read16(addr)) |
-               (static_cast<u32>(read16(addr + 2)) << 16);
-    }
+    u32 read32(Addr addr) const { return readLE(addr, 4); }
 
-    void
-    write32(Addr addr, u32 value)
-    {
-        write16(addr, static_cast<u16>(value));
-        write16(addr + 2, static_cast<u16>(value >> 16));
-    }
+    void write32(Addr addr, u32 value) { writeLE(addr, value, 4); }
 
     /** Read @p bytes (1, 2, or 4) zero-extended to 32 bits. */
     u32
@@ -159,6 +139,48 @@ class SparseMemory
                 return false;
         }
         return true;
+    }
+
+    /** True iff [addr, addr + bytes) lies on one page. */
+    static bool
+    onOnePage(Addr addr, unsigned bytes)
+    {
+        return (addr & (kPageSize - 1)) + bytes <= kPageSize;
+    }
+
+    /** The @p bytes (2 or 4) at @p addr, little-endian, built with
+     *  shifts so the host's byte order does not matter. One page
+     *  lookup when they share a page; byte by byte across two. */
+    u32
+    readLE(Addr addr, unsigned bytes) const
+    {
+        u32 v = 0;
+        if (onOnePage(addr, bytes)) {
+            if (const Page *p = findPage(addr)) {
+                const u8 *b = p->data() + (addr & (kPageSize - 1));
+                for (unsigned i = 0; i < bytes; ++i)
+                    v |= static_cast<u32>(b[i]) << (8 * i);
+            }
+            return v;
+        }
+        for (unsigned i = 0; i < bytes; ++i)
+            v |= static_cast<u32>(read8(addr + i)) << (8 * i);
+        return v;
+    }
+
+    /** Store the low @p bytes (2 or 4) of @p value at @p addr,
+     *  little-endian; creates exactly the pages it touches. */
+    void
+    writeLE(Addr addr, u32 value, unsigned bytes)
+    {
+        if (onOnePage(addr, bytes)) {
+            u8 *b = page(addr).data() + (addr & (kPageSize - 1));
+            for (unsigned i = 0; i < bytes; ++i)
+                b[i] = static_cast<u8>(value >> (8 * i));
+            return;
+        }
+        for (unsigned i = 0; i < bytes; ++i)
+            write8(addr + i, static_cast<u8>(value >> (8 * i)));
     }
 
     const Page *

@@ -69,7 +69,7 @@ FaultController::applyBoundaryEvent(size_t idx, core::LaneFile &regs,
         pe_armed_ = true;
         return; // fires later, through onPeResult()
       case FaultSite::MemLaneEntry: {
-        auto &entries = mem_lanes.entries();
+        const auto entries = mem_lanes.entries();
         if (entries.empty())
             return; // CAM empty this boundary; retry at the next one
         auto &entry = entries[ev.pick % entries.size()];

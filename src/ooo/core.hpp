@@ -94,13 +94,16 @@ class OooCore
 
         explicit FuPool(unsigned n) : units(n) {}
 
-        /** Acquire the unit giving the earliest grant >= @p when. */
+        /** Acquire the unit giving the earliest grant >= @p when (the
+         *  lowest-numbered one on a tie, so probing stops at the first
+         *  unit free at @p when). */
         Cycle
         acquire(Cycle when, Cycle occupancy)
         {
             size_t best = 0;
             Cycle best_grant = units[0].probe(when, occupancy);
-            for (size_t i = 1; i < units.size(); ++i) {
+            for (size_t i = 1; i < units.size() && best_grant != when;
+                 ++i) {
                 const Cycle g = units[i].probe(when, occupancy);
                 if (g < best_grant) {
                     best_grant = g;

@@ -9,7 +9,8 @@
 #ifndef DIAG_SIM_MEM_ORDER_HPP
 #define DIAG_SIM_MEM_ORDER_HPP
 
-#include <deque>
+#include <span>
+#include <vector>
 
 #include "common/sparse_mem.hpp"
 #include "common/types.hpp"
@@ -51,11 +52,14 @@ class StoreTracker
         if (addr_ready > store_addr_gate_)
             store_addr_gate_ = addr_ready;
         stores_.push_back({addr, size, data_ready});
-        if (stores_.size() > entries_) {
-            stores_.pop_front();
-            return true;
+        if (stores_.size() - head_ <= entries_)
+            return false;
+        if (++head_ >= entries_) {  // erase the displaced prefix
+            stores_.erase(stores_.begin(),
+                          stores_.begin() + static_cast<long>(head_));
+            head_ = 0;
         }
-        return false;
+        return true;
     }
 
     /**
@@ -66,8 +70,8 @@ class StoreTracker
     Cycle
     forwardProbe(Addr addr, u8 size) const
     {
-        for (auto it = stores_.rbegin(); it != stores_.rend(); ++it) {
-            const PendingStore &st = *it;
+        for (size_t i = stores_.size(); i-- > head_;) {
+            const PendingStore &st = stores_[i];
             const bool overlap = addr < st.addr + st.size &&
                                  st.addr < addr + size;
             if (!overlap)
@@ -83,16 +87,24 @@ class StoreTracker
     reset()
     {
         stores_.clear();
+        head_ = 0;
         store_addr_gate_ = 0;
     }
 
-    /** Direct access to the CAM window (fault injection / tests). */
-    std::deque<PendingStore> &entries() { return stores_; }
+    /** The CAM window, oldest first (fault injection / tests). */
+    std::span<PendingStore>
+    entries()
+    {
+        return {stores_.data() + head_, stores_.size() - head_};
+    }
 
   private:
     SparseMemory *mem_;
     unsigned entries_;
-    std::deque<PendingStore> stores_;
+    /** The window is stores_[head_..]; displaced entries sit before
+     *  head_ until every `entries_` displacements erase them at once. */
+    std::vector<PendingStore> stores_;
+    size_t head_ = 0;
     Cycle store_addr_gate_ = 0;
 };
 
